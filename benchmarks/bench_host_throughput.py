@@ -18,28 +18,24 @@ per host second (host MIPS) with the predecoded translation cache
 * **poly_branch** — a branch whose target flips every iteration: the
   polymorphic target map's showcase (PR 4; the monomorphic single-slot
   chainer of PR 2 broke and relinked this chain on every flip);
-* **mcode_heavy** — every iteration ``menter``s a pure mroutine that
-  spins in MRAM: the best case for the MAS-driven unguarded pure loop
-  (PR 3), which skips the per-store eviction guards inside routines the
-  analyzer proved free of RAM writes.
+* **mcode_heavy** — every iteration ``menter``s an mroutine that spins
+  in MRAM: its blocks run through the same batched fast loop as guest
+  code, differing only in fetch latency.
 
 The workload programs and machine shapes live in
 :mod:`repro.profile.workloads`, shared with ``python -m repro profile``
 so a profiled workload and a benchmarked one are the same program.
 
-Since PR 2 every tcache-on configuration is measured with superblock
-chaining disabled (``tcache_nochain``, the PR-1 behaviour) and enabled;
-since PR 3 the chained configuration is additionally measured with the
-analysis-driven pure mram loop off (``tcache_nopure``) and on
-(``tcache_on``); since PR 6 the full configuration is measured once
-more with the MJIT tier-2 compiler on (``tcache_jit`` — hot blocks
-recompiled to specialized Python source, see :mod:`repro.cpu.jit`;
-drop the mode with ``--nojit``).  The JSON records the cache win over
-the interpreter (``speedup``), the chaining win over the plain cache
-(``chain_speedup``), the purity win over the guarded chained cache
-(``pure_speedup``) and the tier-2 win over the closure tier
-(``jit_speedup``).  A ``trajectory`` list in the JSON keeps the
-tight-loop functional numbers of every PR for trend tracking.
+Each workload is measured in three modes: the interpreter
+(``tcache_off``), the translation cache with superblock chaining
+(``tcache_on``), and the same with the MJIT tier-2 compiler on
+(``tcache_jit`` — hot blocks recompiled to specialized Python source,
+see :mod:`repro.cpu.jit`; drop the mode with ``--nojit``).  The JSON
+records the cache win over the interpreter (``speedup``) and the
+tier-2 win over the closure tier (``jit_speedup``), plus each mode's
+fast-loop instruction count and fast-path denials by reason.  A
+``trajectory`` list in the JSON keeps the tight-loop functional numbers
+of every earlier run for trend tracking.
 
 Since PR 4 the JSON also records the MPROF numbers:
 
@@ -60,17 +56,17 @@ Since PR 4 the JSON also records the MPROF numbers:
 
 The tcache is architecture-invisible, so for every workload and engine
 the guest results (``RunResult.instructions`` / ``cycles``) must be
-bit-identical across all five modes — this file asserts that, plus the
+bit-identical across all three modes — this file asserts that, plus the
 headline wins for the functional engine on the tight loop: ≥2.6× over
-the interpreter, ≥1.3× over the unchained cache, and with MJIT on a
-tier-2 dispatch share ≥90% and ≥6.16 MIPS absolute (2× the PR-4
-trajectory number).  Results land in ``BENCH_host_throughput.json`` at
-the repo root.
+the interpreter, and with MJIT on a tier-2 dispatch share ≥90% and
+≥6.16 MIPS absolute (2× the PR-4 trajectory number).  Results land in
+``BENCH_host_throughput.json`` at the repo root.
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_host_throughput.py``)
 or via pytest.  ``--smoke`` runs a <30s subset for CI: it checks the
-tight-loop hit rate (≥90%), three-way result equality and that chains
-actually engage, but skips the wall-clock speedup assertions (too noisy
+tight-loop hit rate (≥90%), three-way result equality, that chains
+actually engage and that mcode_heavy's MRAM instructions retire through
+the fast loop, but skips the wall-clock speedup assertions (too noisy
 for shared runners); its results land in
 ``BENCH_host_throughput_smoke.json`` (uploaded as a CI artifact) so the
 committed full-run JSON is never clobbered by a smoke run.
@@ -83,6 +79,7 @@ import json
 import os
 import sys
 from time import perf_counter
+from typing import Optional
 
 from repro.profile.workloads import build_workload, workload_source
 
@@ -92,8 +89,8 @@ JSON_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                          "BENCH_host_throughput.json")
 SMOKE_JSON_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                                "BENCH_host_throughput_smoke.json")
-#: Label this PR's tight-loop numbers carry in the JSON trajectory.
-TRAJECTORY_LABEL = "pr6_mjit"
+#: Label this revision's tight-loop numbers carry in the JSON trajectory.
+TRAJECTORY_LABEL = "one_executor"
 
 
 def _build(workload: str, engine: str):
@@ -104,13 +101,11 @@ def _build(workload: str, engine: str):
     return build_workload(workload, engine=engine)
 
 
-#: Measurement modes: (tcache, chaining, pure loop, jit).
+#: Measurement modes: (tcache, jit).
 _MODES = {
-    "tcache_off": (False, False, False, False),
-    "tcache_nochain": (True, False, False, False),
-    "tcache_nopure": (True, True, False, False),
-    "tcache_on": (True, True, True, False),
-    "tcache_jit": (True, True, True, True),
+    "tcache_off": (False, False),
+    "tcache_on": (True, False),
+    "tcache_jit": (True, True),
 }
 
 
@@ -123,7 +118,7 @@ def _measure(workload: str, engine: str, mode: str, iters: int,
              reps: int) -> dict:
     """Best-of-*reps* host MIPS for one configuration (fresh machine per
     rep; deterministic guest results are cross-checked across reps)."""
-    tcache, chain, pure, jit = _MODES[mode]
+    tcache, jit = _MODES[mode]
     source = workload_source(workload, iters)
     best_mips = 0.0
     ref = None
@@ -132,8 +127,6 @@ def _measure(workload: str, engine: str, mode: str, iters: int,
     for _ in range(reps):
         machine = _build(workload, engine)
         machine.set_tcache(tcache)
-        machine.set_tcache_chaining(chain)
-        machine.set_tcache_pure_loop(pure)
         machine.set_tcache_jit(jit)
         host0 = perf_counter()
         result = machine.load_and_run(source, max_instructions=50_000_000)
@@ -158,7 +151,7 @@ def _measure(workload: str, engine: str, mode: str, iters: int,
         "cycles": ref[1],
         "hit_rate": round(best_stats.hit_rate, 4),
     }
-    if tcache and chain:
+    if tcache:
         row["chains"] = {
             "links": best_stats.chain_links,
             "hits": best_stats.chain_hits,
@@ -166,11 +159,9 @@ def _measure(workload: str, engine: str, mode: str, iters: int,
             "breaks": best_stats.chain_breaks,
             "longest": best_stats.chain_longest,
         }
-    if pure:
-        row["pure"] = {
-            "blocks": best_stats.pure_blocks,
-            "instructions": best_stats.pure_fast_instructions,
-        }
+        row["fast_loop"] = best_stats.fast_loop_instructions
+        row["denied"] = {reason: n for reason, n in best_stats.denied.items()
+                         if n}
     if jit:
         row["jit"] = {
             "blocks": best_stats.jit_blocks,
@@ -191,21 +182,15 @@ def run_suite(iters: dict, reps: int, engines=("functional", "pipeline"),
             row = {"iterations": n}
             for mode in modes:
                 row[mode] = _measure(workload, engine, mode, n, reps)
-            off, nochain, nopure, on = (
-                row["tcache_off"], row["tcache_nochain"],
-                row["tcache_nopure"], row["tcache_on"])
+            off, on = row["tcache_off"], row["tcache_on"]
             row["speedup"] = round(
                 on["mips"] / off["mips"] if off["mips"] else 0.0, 3)
-            row["chain_speedup"] = round(
-                on["mips"] / nochain["mips"] if nochain["mips"] else 0.0, 3)
-            row["pure_speedup"] = round(
-                on["mips"] / nopure["mips"] if nopure["mips"] else 0.0, 3)
             if "tcache_jit" in row:
                 row["jit_speedup"] = round(
                     row["tcache_jit"]["mips"] / on["mips"]
                     if on["mips"] else 0.0, 3)
             results[workload][engine] = row
-            # The tcache (chained, pure, jit or not) is guest-invisible:
+            # The tcache (jit or not) is guest-invisible:
             # identical results in every mode.
             for mode in modes[1:]:
                 for key in ("instructions", "cycles"):
@@ -345,7 +330,8 @@ def _load_previous(path: str):
         return None
 
 
-def _trajectory(results: dict, previous, profiler: dict = None) -> list:
+def _trajectory(results: dict, previous,
+                profiler: Optional[dict] = None) -> list:
     """Per-PR history of the tight-loop functional numbers.
 
     Carries the previous file's trajectory forward; a pre-trajectory file
@@ -371,10 +357,8 @@ def _trajectory(results: dict, previous, profiler: dict = None) -> list:
             "label": TRAJECTORY_LABEL,
             "tight_loop_functional": {
                 "tcache_off_mips": tight["tcache_off"]["mips"],
-                "tcache_nochain_mips": tight["tcache_nochain"]["mips"],
                 "tcache_on_mips": tight["tcache_on"]["mips"],
                 "speedup": tight["speedup"],
-                "chain_speedup": tight["chain_speedup"],
             },
         }
         if "tcache_jit" in tight:
@@ -385,9 +369,7 @@ def _trajectory(results: dict, previous, profiler: dict = None) -> list:
         mcode = results.get("mcode_heavy", {}).get("functional")
         if mcode:
             entry["mcode_heavy_functional"] = {
-                "tcache_nopure_mips": mcode["tcache_nopure"]["mips"],
                 "tcache_on_mips": mcode["tcache_on"]["mips"],
-                "pure_speedup": mcode["pure_speedup"],
             }
         if profiler:
             entry["profiler"] = {
@@ -418,7 +400,8 @@ def _disabled_vs_pr4(trajectory: list) -> float:
 
 
 def _emit_json(results: dict, json_path: str = JSON_PATH,
-               profiler: dict = None, preformation: dict = None) -> str:
+               profiler: Optional[dict] = None,
+               preformation: Optional[dict] = None) -> str:
     path = os.path.abspath(json_path)
     trajectory = _trajectory(results, _load_previous(path),
                              profiler=profiler)
@@ -444,9 +427,8 @@ def _emit_json(results: dict, json_path: str = JSON_PATH,
 def _print_table(results: dict) -> None:
     print()
     print(f"{'workload':<18} {'engine':<11} {'off MIPS':>9} "
-          f"{'nochain':>9} {'nopure':>9} {'on MIPS':>9} {'jit MIPS':>9} "
-          f"{'speedup':>8} {'chain':>7} {'pure':>7} {'jit':>7} "
-          f"{'hit rate':>9}")
+          f"{'on MIPS':>9} {'jit MIPS':>9} "
+          f"{'speedup':>8} {'jit':>7} {'hit rate':>9}")
     for workload, engines in results.items():
         for engine, row in engines.items():
             jit = row.get("tcache_jit")
@@ -455,16 +437,23 @@ def _print_table(results: dict) -> None:
                            if jit else f"{'—':>7}")
             print(f"{workload:<18} {engine:<11} "
                   f"{row['tcache_off']['mips']:>9.3f} "
-                  f"{row['tcache_nochain']['mips']:>9.3f} "
-                  f"{row['tcache_nopure']['mips']:>9.3f} "
                   f"{row['tcache_on']['mips']:>9.3f} "
                   f"{jit_mips} "
                   f"{row['speedup']:>7.2f}x "
-                  f"{row['chain_speedup']:>6.2f}x "
-                  f"{row['pure_speedup']:>6.2f}x "
                   f"{jit_speedup} "
                   f"{row['tcache_on']['hit_rate']:>8.1%}")
     print()
+
+
+def _assert_mram_fast_loop(results: dict) -> None:
+    """mcode_heavy retires every instruction, its mroutine's included,
+    through the batched fast loop: MRAM blocks need no analysis facts
+    to get there."""
+    mcode = results["mcode_heavy"]["functional"]["tcache_on"]
+    assert mcode["fast_loop"] == mcode["instructions"], (
+        f"mcode_heavy: {mcode['instructions'] - mcode['fast_loop']} "
+        f"instructions left the fast loop (denied: {mcode['denied']})"
+    )
 
 
 def run_full(jit: bool = True) -> dict:
@@ -510,28 +499,14 @@ def run_full(jit: bool = True) -> dict:
     assert tight["speedup"] >= 2.6, (
         f"tight-loop functional speedup {tight['speedup']}x < 2.6x"
     )
-    assert tight["chain_speedup"] >= 1.3, (
-        f"tight-loop chaining speedup {tight['chain_speedup']}x < 1.3x "
-        f"over the unchained cache"
-    )
     assert tight["tcache_on"]["hit_rate"] >= 0.90, (
         f"tight-loop hit rate {tight['tcache_on']['hit_rate']:.1%} < 90%"
     )
     tramp = results["chain_trampoline"]["functional"]
-    assert tramp["chain_speedup"] >= 1.2, (
-        f"trampoline chaining speedup {tramp['chain_speedup']}x < 1.2x"
-    )
     assert tramp["tcache_on"]["chains"]["hits"] > 0, (
         "trampoline workload never followed a chain link"
     )
-    mcode = results["mcode_heavy"]["functional"]
-    assert mcode["tcache_on"]["pure"]["instructions"] > 0, (
-        "mcode_heavy workload never ran through the pure loop"
-    )
-    assert mcode["pure_speedup"] >= 1.05, (
-        f"mcode_heavy pure-loop speedup {mcode['pure_speedup']}x < 1.05x "
-        f"over the guarded chained cache"
-    )
+    _assert_mram_fast_loop(results)
     if jit:
         tight_jit = tight["tcache_jit"]
         assert tight_jit["jit"]["dispatch_share"] >= 0.90, (
@@ -590,10 +565,7 @@ def run_smoke(jit: bool = True) -> dict:
     assert poly["poly_hits"] > 0, (
         "poly_branch: the polymorphic target map never hit"
     )
-    pure = results["mcode_heavy"]["functional"]["tcache_on"]["pure"]
-    assert pure["instructions"] > 0, (
-        f"mcode_heavy: the pure loop never engaged (blocks={pure['blocks']})"
-    )
+    _assert_mram_fast_loop(results)
     # Structural profiler/preformation checks (no wall-clock asserts).
     assert profiler["traces_recorded"] > 0, "profiler recorded no traces"
     assert preformation["preformed_blocks"] > 0, (

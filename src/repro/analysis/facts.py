@@ -2,16 +2,16 @@
 
 :class:`RoutineFacts` is the cross-layer contract: the loader runs MAS
 over each mroutine at image-build time and attaches the facts to the
-:class:`~repro.metal.loader.MetalImage`; the translation cache pulls the
-non-store code ranges so its mram-namespace blocks can be dispatched
-through an unguarded fast loop (no RAM-write eviction checks — the
-analysis proved there is nothing to guard).
+:class:`~repro.metal.loader.MetalImage`.  Superblock preformation plans
+from the ``pure_dispatch`` routines' CFGs, and MJIT elides the bounds
+guard at exactly the ``mld``/``mst`` sites the interval pass proved.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Optional
 
 
 class Purity(enum.Enum):
@@ -35,18 +35,15 @@ class Purity(enum.Enum):
     WRITES_RAM = "writes-ram"
 
 
-#: Purity levels whose dispatch can skip RAM-write eviction guards.
-NON_STORE = frozenset((Purity.PURE, Purity.MRAM_ONLY, Purity.READS_RAM))
-
-
 @dataclass
 class RoutineFacts:
     """What MAS proved about one mroutine."""
 
     purity: Purity = Purity.WRITES_RAM
-    #: True when every instruction in the routine is dispatchable by the
-    #: tcache's unguarded pure loop (no stores, no architectural-feature
-    #: side channels).  This is what the loader exports as code ranges.
+    #: True when no instruction in the routine stores to guest RAM or
+    #: uses an architectural-feature side channel.  Profile-guided
+    #: superblock preformation (repro.profile.preform) plans only such
+    #: routines; dispatch does not depend on it.
     pure_dispatch: bool = False
     reads_ram: bool = False
     writes_ram: bool = False
@@ -57,7 +54,7 @@ class RoutineFacts:
     #: Longest acyclic instruction path from entry to an exit, or ``None``
     #: when the routine has loops (then no static bound exists without
     #: loop-bound annotations).
-    max_path_instructions: int = None
+    max_path_instructions: Optional[int] = None
     has_loops: bool = False
     has_dynamic_jumps: bool = False
     #: mld/mst sites proven in-bounds by the interval pass.

@@ -8,12 +8,24 @@ The engine owns the *inter-instruction* architecture: interrupt sampling
 (never inside Metal mode, paper §2.1), instruction interception (paper
 §2.3), trap dispatch (to mroutines on a Metal machine, to ``mtvec`` on the
 baseline), and WFI sleep.
+
+With the translation cache on, guest code and mroutines run through one
+block executor, :meth:`FunctionalSimulator._exec_block`, which differs
+between the two fetch namespaces only in fetch latency (paper §2.2).
+It has two loops: the batched fast loop (closure micro-ops or MJIT
+code, chained across blocks) and the guarded per-entry loop.  One
+eligibility rule picks between them from observable facts: no trace
+hook, a :class:`SimpleTimer`, a budget covering the block and, for
+guest-memory blocks only, no I-cache, no pollable interrupt and no
+``stop_pc``.  Instructions kept out of the fast loop are counted per
+reason in ``perf.tcache.denied``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
+from typing import Optional
 
 from repro.errors import (
     DecodeError,
@@ -25,7 +37,7 @@ from repro.cpu.exceptions import Cause, TrapException
 from repro.cpu.executor import StepInfo, execute
 from repro.cpu.stats import PerfCounters
 from repro.cpu.tcache import F_CSR, F_STORE, F_SYNC, F_TERM, TranslationCache
-from repro.cpu.timing import TimingModel
+from repro.cpu.timing import CONTROL_PENALTY, TimingModel
 from repro.isa.decoder import decode
 from repro.isa.instruction import InstrClass
 from repro.profile.sink import StepHub
@@ -48,7 +60,13 @@ class SimpleTimer:
         self.timing = timing
         self.cycles = 0
 
-    def note(self, step: StepInfo) -> None:
+    def cost(self, step: StepInfo) -> int:
+        """Cycles one retired instruction costs.
+
+        The model's only statement of its formula: :meth:`note`, the
+        engine's batched fast loop and MJIT's generic entries all charge
+        through it.
+        """
         timing = self.timing
         fetch = step.fetch_latency
         cost = fetch if fetch > 1 else 1
@@ -60,23 +78,12 @@ class SimpleTimer:
                 if step.mnemonic.startswith(("div", "rem"))
                 else timing.mul_extra
             )
-        control = step.control
-        if control is not None:
-            if control == "branch":
-                cost += timing.branch_taken_penalty
-            elif control == "jal":
-                cost += timing.jump_penalty
-            elif control == "jalr":
-                cost += timing.branch_taken_penalty
-            elif control == "mret":
-                cost += timing.mret_penalty
-            elif control == "menter":
-                cost += timing.menter_cost
-            elif control == "mexit":
-                cost += timing.mexit_cost
-            elif control == "mraise":
-                cost += timing.jump_penalty
-        self.cycles += cost
+        if step.control is not None:
+            cost += getattr(timing, CONTROL_PENALTY[step.control])
+        return cost
+
+    def note(self, step: StepInfo) -> None:
+        self.cycles += self.cost(step)
 
     def note_event(self, cycles: int) -> None:
         """Charge raw cycles (trap dispatch, redirects, idle waits)."""
@@ -110,12 +117,12 @@ class FunctionalSimulator:
     """Reference engine: functional semantics + analytic timing.
 
     With the translation cache enabled (the default) the engine runs
-    predecoded basic blocks between interrupt/intercept sample points,
-    chaining blocks into superblocks across pure control flow so hot
-    traces never return to the dispatch loop; :meth:`step` remains the
-    one-instruction-at-a-time reference path and both paths produce
-    bit-identical architectural state, instruction counts and cycle
-    counts (see docs/PERF.md).
+    predecoded basic blocks of either namespace between interrupt /
+    intercept sample points, chaining blocks into superblocks across
+    pure control flow so hot traces never return to the dispatch loop;
+    :meth:`step` remains the one-instruction-at-a-time reference path
+    and both paths produce bit-identical architectural state,
+    instruction counts and cycle counts (see docs/PERF.md).
     """
 
     #: Safety valve for WFI with no event source.
@@ -242,20 +249,16 @@ class FunctionalSimulator:
             watch = getattr(metal.intercept, "watch_transitions", None)
             if watch is not None:
                 watch(tcache.on_intercept_transition)
-            # Analysis facts for the pure mram loop.  Read through
-            # ``metal.image`` at call time so reload_mroutines (which
-            # replaces the image object) is picked up along with the
-            # code-version bump that re-invokes the provider.
-            def nonstore_ranges(metal=metal):
-                image = getattr(metal, "image", None)
-                getter = getattr(image, "nonstore_code_ranges", None)
-                return getter() if getter is not None else ()
-
+            # MAS-proven mld/mst sites license MJIT's guard elision.
+            # Read through ``metal.image`` at call time so
+            # reload_mroutines (which replaces the image object) is
+            # picked up along with the code-version bump that re-invokes
+            # the provider.
             def proven_pcs(metal=metal):
                 image = getattr(metal, "image", None)
                 getter = getattr(image, "proven_data_pcs", None)
                 return getter() if getter is not None else ()
-            tcache.set_mram_facts(nonstore_ranges, proven_pcs)
+            tcache.set_mram_facts(proven_pcs)
         self._hooks_installed = True
 
     # ------------------------------------------------------------------
@@ -424,94 +427,122 @@ class FunctionalSimulator:
     # ------------------------------------------------------------------
     # translation-cache fast path
     # ------------------------------------------------------------------
-    def _fast_step(self, budget: int, stop_pc) -> None:
+    def _fast_step(self, budget: int, stop_pc: Optional[int]) -> None:
         """Advance by one predecoded block, or fall back to :meth:`step`.
 
         Preserves the exact inter-instruction architecture of the
         one-at-a-time path: interrupts are sampled before every
         instruction whenever they are deliverable, device state is synced
         before any observation point, and the instruction budget is never
-        overshot.
+        overshot.  Instructions a fall-back :meth:`step` retires are
+        counted in ``perf.tcache.denied`` under the reason no block ran.
         """
         core = self.core
-        if core.waiting:
-            self.step()
-            return
         metal = core.metal
-        if metal is not None and metal.in_metal:
+        block = None
+        if core.waiting:
+            reason = "waiting"
+        elif metal is not None and metal.in_metal:
             block = self._tcache.mram_block(core.pc, metal.mram)
-            if block is None:
-                self.step()
-                return
-            self._exec_mram_block(block, budget)
-            return
+            reason = "no_block"
         # Normal mode: blocks assume identity fetch translation and an
         # empty interception table; anything else takes the slow path.
-        if core.tlb.enabled or (metal is not None and not metal.intercept.empty):
-            self.step()
-            return
-        block = self._tcache.mem_block(core.pc, core.bus)
+        elif core.tlb.enabled:
+            reason = "tlb"
+        elif metal is not None and not metal.intercept.empty:
+            reason = "intercept"
+        else:
+            block = self._tcache.mem_block(core.pc, core.bus)
+            reason = "no_block"
+            # Same ordering as step(): sample interrupts before the
+            # first fetch of the block.
+            if block is not None and self._maybe_take_interrupt():
+                self._sync_devices()
+                return
         if block is None:
+            instret = core.instret
             self.step()
+            self.perf.tcache.denied[reason] += core.instret - instret
             return
-        # Same ordering as step(): sample interrupts before the first
-        # fetch of the block.
-        if self._maybe_take_interrupt():
-            self._sync_devices()
-            return
-        self._exec_mem_block(block, budget, stop_pc)
+        self._exec_block(block, budget, stop_pc)
 
-    def _exec_mem_block(self, block, budget: int, stop_pc) -> None:
+    def _exec_block(self, block, budget: int, stop_pc: Optional[int]) -> None:
+        """Run *block* and the superblock chain it links into.
+
+        One executor serves both fetch namespaces; an mram block differs
+        only in answering every fetch in ``mram_fetch`` cycles (paper
+        §2.2).  One eligibility test picks the loop.  The batched fast
+        loop needs no trace hook, the analytic :class:`SimpleTimer` and
+        a budget covering the block.  A mem block also needs no I-cache,
+        no pollable interrupt and no *stop_pc*, since each of those
+        observes every fetch; Metal mode samples no interrupts (§2.1),
+        fetches past the I-cache and ignores *stop_pc*.  Otherwise the
+        guarded per-entry loop runs, and its instructions are counted in
+        ``perf.tcache.denied`` under the first failing reason.
+        """
         core = self.core
         timer = self.timer
-        icache = core.icache
-        mem_latency = core.timing.mem_latency
-        trace = self.trace_fn
-        stats = self.perf.tcache
-        metal = core.metal
         tcache = self._tcache
-        chain = tcache.chain
+        stats = self.perf.tcache
         sink = self._profile_sink
         chain_limit = self._profile_chain_limit
+        ns = block.ns
         head = block.start
         cycles0 = timer.cycles if sink is not None else 0
-        # Interrupt deliverability is constant inside a block — and along
-        # a superblock chain: only terminator instructions (CSR writes,
-        # Metal transitions) or trap entries can change it; traps exit the
-        # loop and only branch/jal/jalr terminators are chainable.
-        irq = core.irq
-        if irq is None:
-            poll = False
-        elif metal is not None:
-            poll = metal.delivery.interrupts_enabled
-        else:
-            poll = core.csrs.interrupts_enabled
-        check_stop = stop_pc is not None
         sync = self._sync_devices
-        take_irq = self._maybe_take_interrupt
-        note = timer.note
-        f_sync, f_csr, f_term, f_break = F_SYNC, F_CSR, F_TERM, F_TERM | F_STORE
+        irq = core.irq
+        if ns == "mram":
+            src = core.metal.mram
+            latency = core.timing.mram_fetch
+            icache = None
+            poll = False
+            stop_pc = None
+        else:
+            src = core.bus
+            latency = core.timing.mem_latency
+            icache = core.icache
+            # Interrupt deliverability is constant inside a block — and
+            # along a superblock chain: only terminator instructions (CSR
+            # writes, Metal transitions) or trap entries can change it;
+            # traps exit the loop and only branch/jal/jalr terminators
+            # are chainable.
+            if irq is None:
+                poll = False
+            elif core.metal is not None:
+                poll = core.metal.delivery.interrupts_enabled
+            else:
+                poll = core.csrs.interrupts_enabled
+        if icache is not None:
+            reason = "icache"
+        elif poll:
+            reason = "irq_poll"
+        elif stop_pc is not None:
+            reason = "stop_pc"
+        elif self.trace_fn is not None:
+            reason = "trace_hook"
+        elif type(timer) is not SimpleTimer:
+            reason = "pipeline_timer"
+        elif budget < len(block.entries):
+            reason = "budget"
+        else:
+            reason = None
+        f_sync, f_csr, f_term, f_store = F_SYNC, F_CSR, F_TERM, F_STORE
         retired = 0
         chained = 0
+        trap = None
 
-        if (not poll and not check_stop and icache is None and trace is None
-                and budget >= len(block.entries)
-                and type(timer) is SimpleTimer):
-            # Specialized loop for the common unguarded case: the block's
-            # precompiled ``ops`` program is dispatched computed-goto
-            # style — plain entries run as pre-bound micro-ops with no
-            # flag tests, StepInfo or timing branches at all — and
-            # ``core.pc`` / ``core.instret`` / ``timer.cycles`` are
-            # published at sample points (CSR reads, syncs, traps, chain
-            # exit) instead of per entry.  The :meth:`SimpleTimer.note`
-            # cost formula is inlined for the remaining execute() entries
-            # (it must stay in lockstep with that method).  Chainable
+        if reason is None:
+            # Batched fast loop: the block's precompiled ``ops`` program
+            # is dispatched computed-goto style — plain entries run as
+            # pre-bound micro-ops with no flag tests, StepInfo or timing
+            # branches at all — and ``core.pc`` / ``core.instret`` /
+            # ``timer.cycles`` are published at sample points (CSR reads,
+            # syncs, traps, chain exit) instead of per entry.  Chainable
             # exits (branch/jal/jalr, length-limit fall-through) follow
             # the superblock link to the successor block without bouncing
             # back to ``run()``.
-            timing = timer.timing
-            bus = core.bus
-            base_cost = mem_latency if mem_latency > 1 else 1
+            cost = timer.cost
+            base_cost = latency if latency > 1 else 1
             instret0 = core.instret
             jit_on = tcache.jit
             cyc = 0
@@ -529,14 +560,13 @@ class FunctionalSimulator:
                         heat = block.heat + 1
                         block.heat = heat
                         if heat >= tcache.jit_threshold:
-                            jfn = tcache.jit_compile_mem(block)
+                            jfn = tcache.jit_compile(block)
                     if jfn is not None:
                         timer.cycles += cyc
                         cyc = 0
-                        status, next_pc, jret, jloops, trap = jfn(
+                        status, next_pc, jret, jloops, jtrap = jfn(
                             core, block, timer, sync, budget - retired,
-                            instret0 + retired,
-                            chain_limit - chained if chain else 0)
+                            instret0 + retired, chain_limit - chained)
                         retired += jret
                         stats.jit_instructions += jret
                         if jloops:
@@ -547,20 +577,12 @@ class FunctionalSimulator:
                             if chained > stats.chain_longest:
                                 stats.chain_longest = chained
                         if status == 2:  # trap: regs spilled, cycles flushed
-                            core.instret = instret0 + retired
-                            stats.fast_instructions += retired
-                            if sink is not None:
-                                sink.note_trace(
-                                    "mem", head, chained, retired,
-                                    timer.cycles, timer.cycles - cycles0)
-                            self._dispatch_trap(trap, next_pc)
-                            sync()
-                            return
+                            trap = jtrap
                         core.pc = next_pc
-                        if (status or not chain or not block.chainable
+                        if (status or not block.chainable
                                 or chained >= chain_limit):
                             break  # status 1: invalidated mid-trace
-                        nxt = tcache.chain_next_mem(block, next_pc, bus)
+                        nxt = tcache.chain_next(block, next_pc, src)
                         if (nxt is None
                                 or budget - retired < len(nxt.entries)):
                             break
@@ -570,7 +592,7 @@ class FunctionalSimulator:
                         block = nxt
                         continue
                 next_pc = block.end
-                aborted = False
+                stop = False
                 for seg in block.ops:
                     if not seg[0]:  # OP_RUN: flag-free micro-op run
                         _kind, uops, count, run_end = seg
@@ -590,72 +612,33 @@ class FunctionalSimulator:
                             # Device DMA during the sync rewrote this
                             # block's page: re-dispatch from here so the
                             # new bytes are fetched (slow-path parity).
-                            core.pc = pc
-                            core.instret = instret0 + retired
-                            stats.fast_instructions += retired
-                            if sink is not None:
-                                sink.note_trace(
-                                    "mem", head, chained, retired,
-                                    timer.cycles, timer.cycles - cycles0)
-                            return
+                            next_pc = pc
+                            stop = True
+                            break
                     if flags & f_csr:
                         timer.cycles += cyc
                         cyc = 0
                         core._timer_cycles = timer.cycles
                         core.instret = instret0 + retired
                     try:
-                        step = execute(core, instr, pc,
-                                       fetch_latency=mem_latency)
-                    except TrapException as trap:
-                        timer.cycles += cyc
-                        core.instret = instret0 + retired
-                        stats.fast_instructions += retired
-                        if sink is not None:
-                            sink.note_trace(
-                                "mem", head, chained, retired,
-                                timer.cycles, timer.cycles - cycles0)
-                        self._dispatch_trap(trap, pc)
-                        sync()
-                        return
+                        step = execute(core, instr, pc, fetch_latency=latency)
+                    except TrapException as exc:
+                        trap = exc
+                        next_pc = pc
+                        stop = True
+                        break
                     retired += 1
-                    cost = base_cost
-                    ml = step.mem_latency
-                    if ml > 1:
-                        cost += ml - 1
-                    if step.cls is _MULDIV:
-                        cost += (
-                            timing.div_extra
-                            if step.mnemonic.startswith(("div", "rem"))
-                            else timing.mul_extra
-                        )
-                    control = step.control
-                    if control is not None:
-                        if control == "branch":
-                            cost += timing.branch_taken_penalty
-                        elif control == "jal":
-                            cost += timing.jump_penalty
-                        elif control == "jalr":
-                            cost += timing.branch_taken_penalty
-                        elif control == "mret":
-                            cost += timing.mret_penalty
-                        elif control == "menter":
-                            cost += timing.menter_cost
-                        elif control == "mexit":
-                            cost += timing.mexit_cost
-                        elif control == "mraise":
-                            cost += timing.jump_penalty
-                    cyc += cost
+                    cyc += cost(step)
                     next_pc = step.next_pc
-                    if flags & F_STORE and not block.valid:
+                    if flags & f_store and not block.valid:
                         # The store we just executed evicted this block
                         # (self-modifying code): re-dispatch.
-                        aborted = True
+                        stop = True
                         break
                 core.pc = next_pc
-                if (aborted or not chain or not block.chainable
-                        or chained >= chain_limit):
+                if stop or not block.chainable or chained >= chain_limit:
                     break
-                nxt = tcache.chain_next_mem(block, next_pc, bus)
+                nxt = tcache.chain_next(block, next_pc, src)
                 if nxt is None or budget - retired < len(nxt.entries):
                     break
                 chained += 1
@@ -664,311 +647,83 @@ class FunctionalSimulator:
                 block = nxt
             core.instret = instret0 + retired
             timer.cycles += cyc
-            stats.fast_instructions += retired
-            if sink is not None:
-                sink.note_trace("mem", head, chained, retired,
-                                timer.cycles, timer.cycles - cycles0)
-            sync()
-            return
-
-        icache_access = icache.access if icache is not None else None
-        while True:
-            aborted = False
-            for instr, op_fn, pc, flags, _hint in block.entries:
-                if retired:
-                    if retired >= budget:
-                        aborted = True
-                        break
-                    if check_stop and pc == stop_pc:
-                        aborted = True
-                        break
-                    if poll:
-                        sync()
-                        if not block.valid:
-                            aborted = True
-                            break  # DMA rewrote this page; core.pc == pc
-                        # pending_bitmap() is side-effect-free, so the
-                        # cheap precheck is equivalent to calling
-                        # take_irq() always.
-                        if irq.pending_bitmap() and take_irq():
-                            sync()
-                            stats.fast_instructions += retired
-                            if sink is not None:
-                                sink.note_trace(
-                                    "mem", head, chained, retired,
-                                    timer.cycles, timer.cycles - cycles0)
-                            return
-                if flags:
-                    if flags & f_sync:
-                        sync()
-                        if not block.valid:
-                            aborted = True
-                            break  # DMA rewrote this page; core.pc == pc
-                    if flags & f_csr:
-                        core._timer_cycles = timer.cycles
-                latency = (icache_access(pc) if icache_access is not None
-                           else mem_latency)
-                try:
-                    step = op_fn(core, instr, pc, fetch_latency=latency)
-                except TrapException as trap:
-                    stats.fast_instructions += retired
-                    if sink is not None:
-                        sink.note_trace("mem", head, chained, retired,
-                                        timer.cycles, timer.cycles - cycles0)
-                    self._dispatch_trap(trap, pc)
-                    sync()
-                    return
-                core.pc = step.next_pc
-                core.instret += 1
-                retired += 1
-                note(step)
-                if trace is not None:
-                    trace(step)
-                if flags & f_break:
-                    if flags & f_term:
-                        break
-                    if not block.valid:
-                        # The store we just executed evicted this block
-                        # (self-modifying code): re-dispatch from core.pc.
-                        aborted = True
-                        break
-            # Chain to the successor when the exit was a pure control
-            # transfer (or the fall-through of a length-limited block);
-            # the per-entry budget/stop/poll guards above keep running
-            # inside the successor, so no extra prechecks are needed.
-            if (aborted or not chain or not block.chainable
-                    or chained >= chain_limit):
-                break
-            nxt = tcache.chain_next_mem(block, core.pc, core.bus)
-            if nxt is None:
-                break
-            chained += 1
-            if chained > stats.chain_longest:
-                stats.chain_longest = chained
-            block = nxt
-        stats.fast_instructions += retired
-        if sink is not None:
-            sink.note_trace("mem", head, chained, retired,
-                            timer.cycles, timer.cycles - cycles0)
-        sync()
-
-    def _exec_mram_block(self, block, budget: int) -> None:
-        # Metal mode: no interrupt sampling (paper §2.1), no interception,
-        # no stop_pc, constant MRAM fetch latency, and ``mst`` can only
-        # reach the data segment — so blocks never self-invalidate.
-        # Branch/jal/jalr terminators (loops inside mroutines) chain to
-        # the successor MRAM block; ``mexit`` leaves Metal mode and is
-        # never chainable.
-        core = self.core
-        timer = self.timer
-        metal = core.metal
-        mram = metal.mram
-        mram_latency = core.timing.mram_fetch
-        trace = self.trace_fn
-        stats = self.perf.tcache
-        tcache = self._tcache
-        chain = tcache.chain
-        sink = self._profile_sink
-        chain_limit = self._profile_chain_limit
-        head = block.start
-        cycles0 = timer.cycles if sink is not None else 0
-        sync = self._sync_devices
-        note = timer.note
-        f_sync, f_csr, f_term = F_SYNC, F_CSR, F_TERM
-        retired = 0
-        chained = 0
-
-        if (block.pure and trace is None and budget >= len(block.entries)
-                and type(timer) is SimpleTimer):
-            # Unguarded loop for blocks of analysis-proven non-store
-            # mroutines (MAS facts, see docs/ANALYSIS.md): every entry is
-            # flag-free or the F_TERM terminator, so there are no RAM-write
-            # eviction guards, no device syncs and no CSR latches to test
-            # per entry.  Plain ALU runs execute as pre-bound micro-ops;
-            # MULDIV and rmr/wmr/mld/mst entries keep full execute()
-            # dispatch with the SimpleTimer cost formula inlined (it must
-            # stay in lockstep with :meth:`SimpleTimer.note`).  The loop
-            # chains only into other pure blocks so the invariants hold
-            # along the whole superblock.
-            timing = timer.timing
-            base_cost = mram_latency if mram_latency > 1 else 1
-            instret0 = core.instret
-            jit_on = tcache.jit
-            cyc = 0
+        else:
+            # Guarded per-entry loop: publishes pc, instret and cycles
+            # after every instruction and re-checks the budget, stop_pc
+            # and pending interrupts before each one.
+            icache_access = icache.access if icache is not None else None
+            take_irq = self._maybe_take_interrupt
+            note = timer.note
+            trace = self.trace_fn
+            f_break = F_TERM | F_STORE
             while True:
-                if jit_on:
-                    # Tier 2 (MJIT): same protocol as the mem loop, minus
-                    # the abort status — pure mram blocks cannot be
-                    # invalidated mid-trace (nothing inside can touch the
-                    # MRAM code segment or guest RAM).
-                    jfn = block.jit_fn
-                    if jfn is None:
-                        heat = block.heat + 1
-                        block.heat = heat
-                        if heat >= tcache.jit_threshold:
-                            jfn = tcache.jit_compile_mram(block)
-                    if jfn is not None:
-                        timer.cycles += cyc
-                        cyc = 0
-                        status, next_pc, jret, jloops, trap = jfn(
-                            core, metal, timer, budget - retired,
-                            instret0 + retired,
-                            chain_limit - chained if chain else 0)
-                        retired += jret
-                        stats.jit_instructions += jret
-                        if jloops:
-                            chained += jloops
-                            stats.chain_hits += jloops
-                            if chained > stats.chain_longest:
-                                stats.chain_longest = chained
-                        if status == 2:  # trap (double fault downstream)
-                            core.instret = instret0 + retired
-                            stats.fast_instructions += retired
-                            stats.pure_fast_instructions += retired
-                            if sink is not None:
-                                sink.note_trace(
-                                    "mram", head, chained, retired,
-                                    timer.cycles, timer.cycles - cycles0)
-                            self._dispatch_trap(trap, next_pc)
+                stop = False
+                for instr, op_fn, pc, flags, _hint in block.entries:
+                    if retired:
+                        if retired >= budget or pc == stop_pc:
+                            stop = True
+                            break
+                        if poll:
                             sync()
-                            return
-                        core.pc = next_pc
-                        if (not chain or not block.chainable
-                                or chained >= chain_limit):
-                            break
-                        nxt = tcache.chain_next_mram(block, next_pc, mram)
-                        if (nxt is None or not nxt.pure
-                                or budget - retired < len(nxt.entries)):
-                            break
-                        chained += 1
-                        if chained > stats.chain_longest:
-                            stats.chain_longest = chained
-                        block = nxt
-                        continue
-                next_pc = block.end
-                for seg in block.ops:
-                    if not seg[0]:  # OP_RUN: flag-free micro-op run
-                        _kind, uops, count, run_end = seg
-                        regs = core.regs
-                        for uop in uops:
-                            uop(regs)
-                        retired += count
-                        cyc += count * base_cost
-                        next_pc = run_end
-                        continue
-                    _kind, instr, pc, _flags = seg
+                            # A DMA rewrite of this page leaves core.pc
+                            # == pc; pending_bitmap() is side-effect-free,
+                            # so the precheck equals always calling
+                            # take_irq().
+                            if not block.valid or (irq.pending_bitmap()
+                                                   and take_irq()):
+                                stop = True
+                                break
+                    if flags:
+                        if flags & f_sync:
+                            sync()
+                            if not block.valid:
+                                stop = True
+                                break  # DMA rewrote this page; core.pc == pc
+                        if flags & f_csr:
+                            core._timer_cycles = timer.cycles
+                    fetch = (icache_access(pc) if icache_access is not None
+                             else latency)
                     try:
-                        step = execute(core, instr, pc,
-                                       fetch_latency=mram_latency)
-                    except TrapException as trap:
-                        timer.cycles += cyc
-                        core.instret = instret0 + retired
-                        stats.fast_instructions += retired
-                        stats.pure_fast_instructions += retired
-                        if sink is not None:
-                            sink.note_trace(
-                                "mram", head, chained, retired,
-                                timer.cycles, timer.cycles - cycles0)
-                        self._dispatch_trap(trap, pc)  # double fault
-                        sync()
-                        return
+                        step = op_fn(core, instr, pc, fetch_latency=fetch)
+                    except TrapException as exc:
+                        trap = exc
+                        stop = True
+                        break
+                    core.pc = step.next_pc
+                    core.instret += 1
                     retired += 1
-                    cost = base_cost
-                    ml = step.mem_latency
-                    if ml > 1:
-                        cost += ml - 1
-                    if step.cls is _MULDIV:
-                        cost += (
-                            timing.div_extra
-                            if step.mnemonic.startswith(("div", "rem"))
-                            else timing.mul_extra
-                        )
-                    control = step.control
-                    if control is not None:
-                        if control == "branch":
-                            cost += timing.branch_taken_penalty
-                        elif control == "jal":
-                            cost += timing.jump_penalty
-                        elif control == "jalr":
-                            cost += timing.branch_taken_penalty
-                        elif control == "mret":
-                            cost += timing.mret_penalty
-                        elif control == "menter":
-                            cost += timing.menter_cost
-                        elif control == "mexit":
-                            cost += timing.mexit_cost
-                        elif control == "mraise":
-                            cost += timing.jump_penalty
-                    cyc += cost
-                    next_pc = step.next_pc
-                core.pc = next_pc
-                if (not chain or not block.chainable
-                        or chained >= chain_limit):
+                    note(step)
+                    if trace is not None:
+                        trace(step)
+                    if flags & f_break:
+                        if flags & f_term:
+                            break
+                        if not block.valid:
+                            # The store we just executed evicted this
+                            # block (self-modifying code): re-dispatch.
+                            stop = True
+                            break
+                if stop or not block.chainable or chained >= chain_limit:
                     break
-                nxt = tcache.chain_next_mram(block, next_pc, mram)
-                if (nxt is None or not nxt.pure
-                        or budget - retired < len(nxt.entries)):
+                nxt = tcache.chain_next(block, core.pc, src)
+                if nxt is None:
                     break
                 chained += 1
                 if chained > stats.chain_longest:
                     stats.chain_longest = chained
                 block = nxt
-            core.instret = instret0 + retired
-            timer.cycles += cyc
-            stats.fast_instructions += retired
-            stats.pure_fast_instructions += retired
-            if sink is not None:
-                sink.note_trace("mram", head, chained, retired,
-                                timer.cycles, timer.cycles - cycles0)
-            sync()
-            return
-        while True:
-            aborted = False
-            for instr, op_fn, pc, flags, _hint in block.entries:
-                if retired and retired >= budget:
-                    aborted = True
-                    break
-                if flags:
-                    if flags & f_sync:
-                        sync()
-                    if flags & f_csr:
-                        core._timer_cycles = timer.cycles
-                try:
-                    step = op_fn(core, instr, pc, fetch_latency=mram_latency)
-                except TrapException as trap:
-                    stats.fast_instructions += retired
-                    if sink is not None:
-                        sink.note_trace("mram", head, chained, retired,
-                                        timer.cycles, timer.cycles - cycles0)
-                    self._dispatch_trap(trap, pc)  # double fault -> GuestPanic
-                    sync()
-                    return
-                core.pc = step.next_pc
-                core.instret += 1
-                retired += 1
-                note(step)
-                if trace is not None:
-                    trace(step)
-                if flags & f_term:
-                    break
-            if (aborted or not chain or not block.chainable
-                    or chained >= chain_limit):
-                break
-            nxt = tcache.chain_next_mram(block, core.pc, mram)
-            if nxt is None:
-                break
-            chained += 1
-            if chained > stats.chain_longest:
-                stats.chain_longest = chained
-            block = nxt
+            stats.denied[reason] += retired
         stats.fast_instructions += retired
         if sink is not None:
-            sink.note_trace("mram", head, chained, retired,
+            sink.note_trace(ns, head, chained, retired,
                             timer.cycles, timer.cycles - cycles0)
+        if trap is not None:
+            self._dispatch_trap(trap, core.pc)
         sync()
 
     # ------------------------------------------------------------------
-    def run(self, max_instructions: int = 5_000_000, stop_pc: int = None,
+    def run(self, max_instructions: int = 5_000_000,
+            stop_pc: Optional[int] = None,
             raise_on_limit: bool = True) -> RunResult:
         """Run until halt, *stop_pc* (normal mode), or the budget."""
         core = self.core

@@ -5,7 +5,7 @@ work, but every retired instruction still pays a Python call — a
 micro-op closure or a full ``execute()`` dispatch — plus ``StepInfo``
 traffic and the inlined cost formula's branches for the non-plain
 entries.  MJIT removes that last layer for hot blocks: once a block's
-``heat`` (dispatches through the engines' unguarded loops) crosses
+``heat`` (dispatches through the engine's batched fast loop) crosses
 ``TranslationCache.jit_threshold``, the block is rendered as straight
 Python source and ``exec``-compiled once:
 
@@ -19,11 +19,17 @@ Python source and ``exec``-compiled once:
   the instruction stream: plain runs carry no per-entry tests at all,
   and a trace whose terminator targets its own head internalises the
   loop (bounded by the caller's remaining budget and chain quantum);
-* cycle accounting batches the unit-cost entries (``cyc += n * bc``)
-  and stays line-for-line in lockstep with :class:`SimpleTimer.note` —
-  the differential fuzzer holds bit-identity on cycles, not just state.
+* cycle accounting batches the unit-cost entries (``cyc += n * bc``);
+  inlined loads, stores, muldiv and terminators charge the terms of
+  :meth:`SimpleTimer.cost` specialised per entry, and entries left to
+  ``execute()`` charge ``timer.cost`` itself — MVTV and the
+  differential fuzzer hold bit-identity on cycles, not just state.
 
-Guard elision (MAS-licensed).  Inside compiled pure mroutines, an
+Both fetch namespaces compile through one code generator: an mram
+block differs only in its fetch latency (``timing.mram_fetch``) and in
+the Metal-only entries it may contain (``rmr``/``wmr``/``mld``/``mst``).
+
+Guard elision (MAS-licensed).  Inside compiled mroutines, an
 ``mld``/``mst`` whose address the interval pass proved in-bounds
 (``RoutineFacts.proven_access_words`` → ``MetalImage.proven_data_pcs``)
 is compiled as a raw ``struct`` access on the MRAM data bytearray: the
@@ -35,11 +41,13 @@ per-site.
 
 Calling convention (both namespaces)::
 
-    status, next_pc, retired, loops, trap = jit_fn(...)
+    status, next_pc, retired, loops, trap = jit_fn(
+        core, block, timer, sync, budget, instret_base, limit)
 
 * ``status == 0`` — normal exit; ``next_pc`` is the successor pc.
-* ``status == 1`` — aborted (mem only): the block was invalidated
-  mid-trace (DMA during a sync, or the trace's own store — SMC);
+* ``status == 1`` — aborted: the block was invalidated mid-trace (DMA
+  during a sync, or the trace's own store — SMC; mram blocks are never
+  invalidated by either, so for them the escape is dead code);
   ``next_pc`` is the resume pc and no stale entry was executed.
 * ``status == 2`` — trap: ``next_pc`` is the faulting pc (epc), ``trap``
   the :class:`TrapException`; registers are already spilled and
@@ -52,10 +60,9 @@ batch into ``timer.cycles`` before calling (the compiled code reads and
 writes ``timer.cycles`` directly) and passes ``instret_base`` so CSR
 reads inside the trace can latch an exact ``core.instret``.
 
-Failure is always graceful: :func:`compile_mem_block` /
-:func:`compile_mram_block` return ``None`` for blocks not worth (or not
-safe) compiling, and the translation cache parks such blocks cold so the
-attempt happens exactly once.
+Failure is always graceful: :func:`compile_block` returns ``None`` for
+blocks not worth (or not safe) compiling, and the translation cache
+parks such blocks cold so the attempt happens exactly once.
 """
 
 from __future__ import annotations
@@ -76,6 +83,7 @@ from repro.cpu.tcache import (
     IR_SET,
     uop_ir,
 )
+from repro.cpu.timing import CONTROL_PENALTY
 from repro.isa.instruction import InstrClass
 
 _M = 0xFFFFFFFF
@@ -96,16 +104,14 @@ for _name, _fn in alu.REG_OPS.items():
     _BASE_NS["_op_" + _name] = _fn
 del _name, _fn
 
-#: Timing-model attributes the generated prologue may hoist into locals,
-#: keyed by the local name used in the source.
+#: Timing-model attributes the generated prologue may hoist into locals
+#: for the inlined entries, keyed by the local name used in the source.
 _TIMING_LOCALS = {
-    "_bt": "branch_taken_penalty",
-    "_jp": "jump_penalty",
+    "_bt": CONTROL_PENALTY["branch"],
+    "_jr": CONTROL_PENALTY["jalr"],
+    "_jp": CONTROL_PENALTY["jal"],
     "_dx": "div_extra",
     "_mx": "mul_extra",
-    "_mrp": "mret_penalty",
-    "_men": "menter_cost",
-    "_mex": "mexit_cost",
 }
 
 _PLAIN_METAL = frozenset(("rmr", "wmr", "mld", "mst"))
@@ -186,9 +192,8 @@ def _branch_cond(m: str, a: str, b: str) -> str:
 class _Codegen:
     """One block → one Python source string (+ its exec namespace)."""
 
-    def __init__(self, block, mem: bool, proven_pcs):
+    def __init__(self, block, proven_pcs):
         self.block = block
-        self.mem = mem
         self.proven = proven_pcs
         self.ns = dict(_BASE_NS)
         self.lines = []
@@ -220,7 +225,7 @@ class _Codegen:
             self.emit(f"r{n} = regs[{n}]")
 
     def abort(self, resume_pc: int) -> None:
-        """Escape with status 1 (mem invalidation), locals spilled."""
+        """Escape with status 1 (block invalidated), locals spilled."""
         self.spill()
         self.emit("timer.cycles += cyc")
         self.emit(f"return (1, {resume_pc}, retired, loops, None)")
@@ -243,10 +248,10 @@ class _Codegen:
                     inlined += 1
                 elif cls is InstrClass.JALR:
                     track.update((instr.rs1, instr.rd))
-                    self.timing_needs.add("_bt")
+                    self.timing_needs.add("_jr")
                     inlined += 1
                 else:
-                    self._note_generic()
+                    self.trapping = True
                 continue
             if flags == 0:
                 ir = uop_ir(instr, pc)
@@ -284,16 +289,16 @@ class _Codegen:
                             track.update((instr.rs1, instr.rs2))
                         inlined += 1
                     else:
-                        self._note_generic()
+                        self.trapping = True
                     continue
-                self._note_generic()
+                self.trapping = True
                 continue
-            if self.mem and cls is InstrClass.LOAD:
+            if cls is InstrClass.LOAD:
                 track.update((instr.rs1, instr.rd))
                 self.trapping = True
                 inlined += 1
                 continue
-            if self.mem and cls is InstrClass.STORE:
+            if cls is InstrClass.STORE:
                 track.update((instr.rs1, instr.rs2))
                 self.trapping = True
                 inlined += 1
@@ -305,10 +310,6 @@ class _Codegen:
         # A block with nothing inlinable gains nothing over the closure
         # tier; leave it there.
         return inlined > 0
-
-    def _note_generic(self) -> None:
-        self.trapping = True
-        self.timing_needs.update(("_bt", "_jp", "_mrp", "_men", "_mex"))
 
     # -- body emission ---------------------------------------------------
     def emit_entry(self, index: int, entry) -> None:
@@ -383,7 +384,7 @@ class _Codegen:
         self.emit(f"cyc += bc + {extra}")
 
     def _sync_prologue(self, pc: int) -> None:
-        """Flush + device sync + invalidation escape (mem loads/stores)."""
+        """Flush + device sync + invalidation escape (loads/stores)."""
         self.emit("timer.cycles += cyc")
         self.emit("cyc = 0")
         self.emit("sync()")
@@ -462,29 +463,7 @@ class _Codegen:
         self.reload()
         self.emit("_lv = 1")
         self.emit("retired += 1")
-        self.emit("_c = bc")
-        self.emit("_l = _s.mem_latency")
-        self.emit("if _l > 1:")
-        self.emit("    _c += _l - 1")
-        self.emit("_ctl = _s.control")
-        self.emit("if _ctl is not None:")
-        self.indent += 1
-        self.emit('if _ctl == "branch":')
-        self.emit("    _c += _bt")
-        self.emit('elif _ctl == "jal":')
-        self.emit("    _c += _jp")
-        self.emit('elif _ctl == "jalr":')
-        self.emit("    _c += _bt")
-        self.emit('elif _ctl == "mret":')
-        self.emit("    _c += _mrp")
-        self.emit('elif _ctl == "menter":')
-        self.emit("    _c += _men")
-        self.emit('elif _ctl == "mexit":')
-        self.emit("    _c += _mex")
-        self.emit('elif _ctl == "mraise":')
-        self.emit("    _c += _jp")
-        self.indent -= 1
-        self.emit("cyc += _c")
+        self.emit("cyc += _cost(_s)")
         self.emit("next_pc = _s.next_pc")
 
     # -- inlined terminators --------------------------------------------
@@ -532,7 +511,7 @@ class _Codegen:
 
     def _emit_jalr(self, instr, pc: int) -> None:
         self.emit("retired += 1")
-        self.emit("cyc += bc + _bt")
+        self.emit("cyc += bc + _jr")
         # Target reads rs1 before the link write (rd == rs1 is legal).
         self.emit(f"_t0 = ({_r(instr.rs1)} + {instr.imm}) & 4294967294")
         if instr.rd:
@@ -603,38 +582,35 @@ class _Codegen:
         self.emit("return (0, next_pc, retired, loops, None)")
         body, self.lines = self.lines, head_lines
 
-        # Prologue.
+        # Prologue: hoist exactly what the body turned out to need.
         self.indent = 0
-        if self.mem:
-            self.emit("def _jit(core, block, timer, sync, budget, "
-                      "instret_base, limit):")
-        else:
-            self.emit("def _jit(core, metal, timer, budget, "
-                      "instret_base, limit):")
+        self.emit("def _jit(core, block, timer, sync, budget, "
+                  "instret_base, limit):")
         self.indent = 1
         self.emit("regs = core.regs")
         self.emit("timing = timer.timing")
-        if self.mem:
-            self.emit("_ml = timing.mem_latency")
-        else:
-            self.emit("_ml = timing.mram_fetch")
+        fetch = "mram_fetch" if block.ns == "mram" else "mem_latency"
+        self.emit(f"_ml = timing.{fetch}")
         self.emit("bc = _ml if _ml > 1 else 1")
         body_text = "\n".join(body)
-        if not self.mem and ("bc + _me" in body_text):
+        if "bc + _me" in body_text:
             self.emit("_me = _ml - 1 if _ml > 1 else 0")
         for name in sorted(self.timing_needs):
             self.emit(f"{name} = timing.{_TIMING_LOCALS[name]}")
-        if self.mem and "read_mem(" in body_text:
+        if "_cost(" in body_text:
+            self.emit("_cost = timer.cost")
+        if "read_mem(" in body_text:
             self.emit("read_mem = core.read_mem")
-        if self.mem and "write_mem(" in body_text:
+        if "write_mem(" in body_text:
             self.emit("write_mem = core.write_mem")
-        if not self.mem:
-            if "_mrr(" in body_text:
-                self.emit("_mrr = metal.mregs.read")
-            if "_mrw(" in body_text:
-                self.emit("_mrw = metal.mregs.write")
-            if "(data, _o" in body_text:
-                self.emit("data = metal.mram.data")
+        if "_mr" in body_text or "(data, _o" in body_text:
+            self.emit("metal = core.metal")
+        if "_mrr(" in body_text:
+            self.emit("_mrr = metal.mregs.read")
+        if "_mrw(" in body_text:
+            self.emit("_mrw = metal.mregs.write")
+        if "(data, _o" in body_text:
+            self.emit("data = metal.mram.data")
         self.reload()
         self.emit("retired = 0")
         self.emit("loops = 0")
@@ -647,32 +623,20 @@ class _Codegen:
         return "\n".join(self.lines) + "\n"
 
 
-def _compile(block, mem: bool, proven_pcs):
-    gen = _Codegen(block, mem, proven_pcs)
-    source = gen.generate()
-    if source is None:
-        return None
-    ns_label = "mem" if mem else "mram"
-    code = compile(source, f"<mjit:{ns_label}:{block.start:#x}>", "exec")
-    exec(code, gen.ns)
-    fn = gen.ns["_jit"]
-    fn.__jit_source__ = source
-    return fn
-
-
-def compile_mem_block(block):
-    """Tier-2 compile a mem-namespace block, or ``None`` to decline."""
-    return _compile(block, mem=True, proven_pcs=frozenset())
-
-
-def compile_mram_block(block, proven_pcs=frozenset()):
-    """Tier-2 compile a pure mram-namespace block, or ``None`` to decline.
+def compile_block(block, proven_pcs=frozenset()):
+    """Tier-2 compile *block* (either namespace), or ``None`` to decline.
 
     *proven_pcs* are the code byte offsets of ``mld``/``mst`` sites the
     MAS interval pass proved in-bounds (``MetalImage.proven_data_pcs``);
     those sites compile to raw data-segment accesses, all others keep
     the guarded ``execute()`` dispatch.
     """
-    if not block.pure:
+    gen = _Codegen(block, proven_pcs)
+    source = gen.generate()
+    if source is None:
         return None
-    return _compile(block, mem=False, proven_pcs=proven_pcs)
+    code = compile(source, f"<mjit:{block.ns}:{block.start:#x}>", "exec")
+    exec(code, gen.ns)
+    fn = gen.ns["_jit"]
+    fn.__jit_source__ = source
+    return fn

@@ -12,8 +12,16 @@ by ``benchmarks/common.perf_summary``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
+#: Why instructions were kept out of the engine's batched fast loop, in
+#: the order the engine tests them.  The first six are the block
+#: executor's eligibility rule (the guarded per-entry loop ran); the
+#: last four are ``_fast_step``'s fall-backs to one-at-a-time ``step()``.
+DENIAL_REASONS = ("icache", "irq_poll", "stop_pc", "trace_hook",
+                  "pipeline_timer", "budget", "tlb", "intercept",
+                  "waiting", "no_block")
+GUARDED_REASONS = DENIAL_REASONS[:6]
 
 @dataclass
 class TcacheStats:
@@ -44,11 +52,6 @@ class TcacheStats:
     chain_breaks: int = 0
     #: Longest run of chained block transitions inside one dispatch.
     chain_longest: int = 0
-    #: MRAM blocks compiled inside an analysis-proven non-store routine
-    #: (dispatchable through the unguarded pure loop).
-    pure_blocks: int = 0
-    #: Guest instructions retired through the pure mram fast loop.
-    pure_fast_instructions: int = 0
     #: MRAM blocks compiled ahead of execution by profile-guided
     #: superblock preformation (repro.profile.preform).
     preformed_blocks: int = 0
@@ -60,6 +63,10 @@ class TcacheStats:
     jit_instructions: int = 0
     #: Host milliseconds spent inside the MJIT compiler (codegen + exec).
     jit_compile_ms: float = 0.0
+    #: Instructions denied the batched fast loop, keyed by the first
+    #: failing reason (:data:`DENIAL_REASONS`).
+    denied: dict = field(
+        default_factory=lambda: dict.fromkeys(DENIAL_REASONS, 0))
 
     @property
     def dispatches(self) -> int:
@@ -74,24 +81,16 @@ class TcacheStats:
         return (self.hits + self.chain_hits) / total if total else 0.0
 
     def reset(self) -> None:
-        self.blocks_compiled = 0
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-        self.flushes = 0
-        self.fast_instructions = 0
-        self.chain_links = 0
-        self.chain_hits = 0
-        self.chain_poly_hits = 0
-        self.chain_breaks = 0
-        self.chain_longest = 0
-        self.pure_blocks = 0
-        self.pure_fast_instructions = 0
-        self.preformed_blocks = 0
-        self.preformed_links = 0
-        self.jit_blocks = 0
-        self.jit_instructions = 0
-        self.jit_compile_ms = 0.0
+        fresh = TcacheStats()
+        for f in fields(self):
+            setattr(self, f.name, getattr(fresh, f.name))
+
+    @property
+    def fast_loop_instructions(self) -> int:
+        """Instructions retired through the batched fast loop: the block
+        path's total minus what its guarded loop retired."""
+        return self.fast_instructions - sum(
+            self.denied[reason] for reason in GUARDED_REASONS)
 
     @property
     def jit_dispatch_share(self) -> float:
@@ -142,8 +141,6 @@ class PerfCounters:
             f"tcache chains      : {tc.chain_links} links, "
             f"{tc.chain_hits} followed ({tc.chain_poly_hits} polymorphic), "
             f"{tc.chain_breaks} broken (longest {tc.chain_longest})",
-            f"tcache pure mram   : {tc.pure_blocks} blocks, "
-            f"{tc.pure_fast_instructions} instrs via the unguarded loop",
             f"tcache preformed   : {tc.preformed_blocks} blocks, "
             f"{tc.preformed_links} links ahead of execution",
             f"tcache jit (MJIT)  : {tc.jit_blocks} blocks compiled "
@@ -151,4 +148,7 @@ class PerfCounters:
             f"via tier 2 ({tc.jit_dispatch_share:.1%} of fast path)",
             f"fast-path instrs   : {tc.fast_instructions} "
             f"({self.slow_instructions} slow)",
+            "fast-loop denials  : " + (", ".join(
+                f"{reason} {count}" for reason, count in tc.denied.items()
+                if count) or "none"),
         ])

@@ -19,8 +19,8 @@ On top of the entry list each block carries two build-time artifacts:
   base cost) are folded into tuples of micro-op closures specialised per
   instruction at compile time; only entries that can sync devices, trap,
   or terminate the block remain full ``execute()`` dispatches.  The
-  functional engine's unguarded fast loop runs ``ops`` with no per-entry
-  flag tests at all.
+  functional engine's batched fast loop runs ``ops`` with no per-entry
+  flag tests at all, in either namespace.
 * ``link``/``link_pc``/``links`` — the **superblock chain**: after a
   block exits through a pure control-flow terminator (branch/jal/jalr,
   or the fall-through of a length-limited block) the engine links it to
@@ -38,7 +38,9 @@ On top of the entry list each block carries two build-time artifacts:
   (interrupt enables, translation, interception, halt/wfi), so those
   always return to the dispatcher.
 
-Two separate block namespaces keep Metal-mode fetch locality intact:
+Two block namespaces, one per fetch source, share one compiler, one
+chainer and one tier-2 entry point; each block records its namespace in
+``Block.ns``:
 
 * ``mem`` — normal-mode code fetched from main memory.  Blocks are valid
   only while fetch translation is identity (paging off) and the
@@ -75,6 +77,7 @@ executing stale code.
 from __future__ import annotations
 
 from time import perf_counter
+from typing import Optional
 
 from repro.errors import BusError, DecodeError, MramError
 from repro.cpu import alu
@@ -133,19 +136,20 @@ _JIT_COLD = -(1 << 62)
 class Block:
     """One predecoded basic block (plus its superblock chain links)."""
 
-    __slots__ = ("start", "end", "entries", "ops", "valid",
-                 "chainable", "link", "link_pc", "links", "pure",
+    __slots__ = ("ns", "start", "end", "entries", "ops", "valid",
+                 "chainable", "link", "link_pc", "links",
                  "heat", "jit_fn")
 
-    def __init__(self, start: int, end: int, entries,
-                 chainable: bool = False, link_pc: int = None):
+    def __init__(self, ns: str, start: int, end: int, entries,
+                 chainable: bool = False, link_pc: Optional[int] = None):
+        self.ns = ns              # fetch namespace: "mem" or "mram"
         self.start = start
         self.end = end            # byte address just past the last entry
         self.entries = entries    # list of (instr, op_fn, pc, flags, hint)
         self.ops = _build_ops(entries, end)
         self.valid = True
-        #: Tier-2 hotness: dispatches of this block through the engines'
-        #: unguarded loops (the same transitions the hit/chain-hit stats
+        #: Tier-2 hotness: dispatches of this block through the engine's
+        #: batched fast loop (the same transitions the hit/chain-hit stats
         #: count).  Crossing ``TranslationCache.jit_threshold`` triggers
         #: MJIT compilation; a rejected compile parks it at ``_JIT_COLD``
         #: so the threshold test never re-fires.
@@ -154,11 +158,6 @@ class Block:
         #: the block is cold.  Every eviction path that clears ``valid``
         #: also drops this, exactly as it severs chain links.
         self.jit_fn = None
-        #: True for mram blocks inside an analysis-proven non-store
-        #: routine (see :meth:`TranslationCache.set_mram_facts`): every
-        #: entry is flag-free (or the F_TERM terminator), so the engine
-        #: may dispatch the block through its unguarded pure loop.
-        self.pure = False
         #: Whether the block's exit is eligible for chaining (branch/jal/
         #: jalr terminator, or the fall-through of a length-limited block).
         self.chainable = chainable
@@ -181,7 +180,7 @@ class Block:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Block [{self.start:#x}, {self.end:#x}) "
+            f"<Block {self.ns} [{self.start:#x}, {self.end:#x}) "
             f"{len(self.entries)} instrs valid={self.valid}>"
         )
 
@@ -333,20 +332,6 @@ def _build_ops(entries, end: int):
     return ops
 
 
-def _entries_pure(entries) -> bool:
-    """True when every entry is flag-free except an F_TERM terminator.
-
-    Belt and braces under the analysis facts: a block inside a proven
-    non-store routine can only contain such entries, but the flags are
-    what the unguarded loop actually relies on, so they are what is
-    checked.
-    """
-    for _instr, _op_fn, _pc, flags, _hint in entries:
-        if flags not in (0, F_TERM):
-            return False
-    return True
-
-
 def _chain_shape(entries, end: int, terminated: bool):
     """``(chainable, link_pc seed)`` for a freshly compiled block."""
     if not terminated:
@@ -366,7 +351,7 @@ class TranslationCache:
     #: interrupt-sampling work lost when a block aborts early.
     MAX_BLOCK_LEN = 64
 
-    def __init__(self, stats, max_block_len: int = None):
+    def __init__(self, stats, max_block_len: Optional[int] = None):
         self.stats = stats
         self.max_block_len = max_block_len or self.MAX_BLOCK_LEN
         #: Optional profiling sink (repro.profile.sink.TraceEventSink).
@@ -374,40 +359,27 @@ class TranslationCache:
         #: reported for the exported timeline; ``None`` costs nothing on
         #: the hot paths (checked only on the cold branches).
         self.sink = None
-        #: Superblock chaining toggle (host-side, guest-invisible).  With
-        #: it off the engines bounce back to the dispatch loop after every
-        #: block, i.e. the PR-1 per-block behaviour.
-        self.chain = True
-        #: Purity-specialisation toggle (host-side, guest-invisible).
-        #: With it off, mram blocks are never marked pure even when the
-        #: analysis facts would allow it (measurement baseline).
-        self.pure_loop = True
         #: MJIT tier-2 toggle (host-side, guest-invisible).  With it on,
         #: blocks whose ``heat`` crosses :attr:`jit_threshold` are
         #: compiled to specialized Python (repro.cpu.jit) and dispatched
         #: in preference to the closure path.
         self.jit = False
-        #: Dispatches through the unguarded loops a block must see before
+        #: Dispatches through the fast loop a block must see before
         #: MJIT compiles it.  Low by design: compilation is a few hundred
-        #: microseconds, and a block hot enough to reach the specialized
-        #: loops twice is overwhelmingly a loop body.
+        #: microseconds, and a block hot enough to reach the fast loop
+        #: twice is overwhelmingly a loop body.
         self.jit_threshold = 16
         self._mem = {}          # start pc -> Block
         self._mem_pages = {}    # page number -> set of start pcs
         self._mram = {}         # start offset -> Block
         self._mram_version = None
-        #: Callable returning the current non-store code ranges of the
-        #: loaded Metal image (see MetalImage.nonstore_code_ranges), or
-        #: None when no analysis facts are available.
-        self._mram_facts = None
-        self._nonstore_ranges = ()
         #: Callable returning the proven in-bounds mld/mst site pcs of
         #: the loaded image (see MetalImage.proven_data_pcs), or None.
         self._mram_proven = None
         self._proven_pcs = frozenset()
 
     # ------------------------------------------------------------------
-    # dispatch (normal mode, main memory)
+    # dispatch and compilation
     # ------------------------------------------------------------------
     def mem_block(self, pc: int, bus):
         """Cached (or freshly compiled) block starting at *pc*, or None."""
@@ -418,88 +390,44 @@ class TranslationCache:
         self.stats.misses += 1
         if pc % 4:
             return None
-        return self._compile_mem(pc, bus)
 
-    def _compile_mem(self, pc: int, bus):
-        entries = []
-        p = pc
-        limit = self.max_block_len
-        terminated = False
-        while len(entries) < limit:
+        def fetch(p):
             # Never compile through a device region: device reads have
             # side effects, and instruction fetch from MMIO takes the
             # slow path anyway.
             if bus.is_device(p):
-                break
-            try:
-                word = bus.read_u32(p)
-            except BusError:
-                break
-            try:
-                instr = decode(word)
-            except DecodeError:
-                break
-            flags, term = _classify(instr, mram=False)
-            entries.append((instr, execute, p, flags, _static_hint(instr, p)))
-            p += 4
-            if term:
-                terminated = True
-                break
-        if not entries:
-            return None
-        block = Block(pc, p, entries,
-                      *_chain_shape(entries, p, terminated))
-        self._mem[pc] = block
-        pages = self._mem_pages
-        for page in range(pc >> PAGE_SHIFT, ((p - 1) >> PAGE_SHIFT) + 1):
-            pages.setdefault(page, set()).add(pc)
-        self.stats.blocks_compiled += 1
-        if self.sink is not None:
-            self.sink.tcache_event("compile", "mem", pc, len(entries))
+                raise BusError(p, "instruction fetch from device")
+            return bus.read_u32(p)
+        block = self._compile("mem", pc, fetch)
+        if block is not None:
+            pages = self._mem_pages
+            for page in range(pc >> PAGE_SHIFT,
+                              ((block.end - 1) >> PAGE_SHIFT) + 1):
+                pages.setdefault(page, set()).add(pc)
         return block
 
-    # ------------------------------------------------------------------
-    # dispatch (Metal mode, MRAM)
-    # ------------------------------------------------------------------
-    def set_mram_facts(self, provider, proven=None) -> None:
-        """Install the analysis-facts providers for the mram namespace.
+    def set_mram_facts(self, proven) -> None:
+        """Install the analysis-facts provider for the mram namespace.
 
-        *provider* is a zero-argument callable returning the non-store
-        code ranges of the currently loaded image (byte ``(lo, hi)``
-        pairs, sorted); *proven* (optional) returns the code pcs of
-        ``mld``/``mst`` sites the interval pass proved in-bounds, which
-        licenses MJIT's per-site guard elision.  Both are re-invoked
+        *proven* is a zero-argument callable returning the code pcs of
+        ``mld``/``mst`` sites the MAS interval pass proved in-bounds,
+        which licenses MJIT's per-site guard elision.  It is re-invoked
         whenever the MRAM code version changes, so ``reload_mroutines``
         naturally refreshes the facts along with the blocks they
         describe.
         """
-        self._mram_facts = provider
-        self._nonstore_ranges = tuple(provider()) if provider is not None else ()
         self._mram_proven = proven
-        self._proven_pcs = frozenset(proven()) if proven is not None \
-            else frozenset()
+        self._proven_pcs = frozenset(proven())
 
     def mram_block(self, pc: int, mram):
         """Cached (or freshly compiled) MRAM block at offset *pc*, or None."""
         version = mram.code_version
         if version != self._mram_version:
             # Lazy namespace invalidation: mroutine load/unload bumped the
-            # code version since we last compiled.  Mark the blocks invalid
-            # (not just unreachable) so chain links held by surviving
-            # predecessors can never be followed into the stale code.
-            if self._mram:
-                count = len(self._mram)
-                for block in self._mram.values():
-                    block.valid = False
-                    block.jit_fn = None
-                self.stats.invalidations += count
-                self._mram.clear()
-                if self.sink is not None:
-                    self.sink.tcache_event("flush", "mram", 0, count)
+            # code version since we last compiled.
+            self._drop_all("mram", self._mram)
             self._mram_version = version
             # The new image has new routines — and new analysis facts.
-            if self._mram_facts is not None:
-                self._nonstore_ranges = tuple(self._mram_facts())
             if self._mram_proven is not None:
                 self._proven_pcs = frozenset(self._mram_proven())
         block = self._mram.get(pc)
@@ -509,23 +437,22 @@ class TranslationCache:
         self.stats.misses += 1
         if pc % 4:
             return None
-        return self._compile_mram(pc, mram)
+        return self._compile("mram", pc, mram.fetch)
 
-    def _compile_mram(self, pc: int, mram):
+    def _compile(self, ns: str, pc: int, fetch):
+        """Predecode the block at *pc*, reading words through *fetch*
+        (which raises BusError/MramError past the fetchable code)."""
+        mram = ns == "mram"
         entries = []
         p = pc
         limit = self.max_block_len
         terminated = False
         while len(entries) < limit:
             try:
-                word = mram.fetch(p)
-            except MramError:
+                instr = decode(fetch(p))
+            except (BusError, MramError, DecodeError):
                 break
-            try:
-                instr = decode(word)
-            except DecodeError:
-                break
-            flags, term = _classify(instr, mram=True)
+            flags, term = _classify(instr, mram)
             entries.append((instr, execute, p, flags, _static_hint(instr, p)))
             p += 4
             if term:
@@ -533,41 +460,32 @@ class TranslationCache:
                 break
         if not entries:
             return None
-        block = Block(pc, p, entries,
+        block = Block(ns, pc, p, entries,
                       *_chain_shape(entries, p, terminated))
-        if self.pure_loop and self._in_nonstore_range(pc, p) \
-                and _entries_pure(entries):
-            block.pure = True
-            self.stats.pure_blocks += 1
-        self._mram[pc] = block
+        (self._mram if mram else self._mem)[pc] = block
         self.stats.blocks_compiled += 1
         if self.sink is not None:
-            self.sink.tcache_event("compile", "mram", pc, len(entries))
+            self.sink.tcache_event("compile", ns, pc, len(entries))
         return block
-
-    def _in_nonstore_range(self, lo: int, hi: int) -> bool:
-        """Whether code bytes ``[lo, hi)`` lie inside one routine that
-        the analysis proved free of guarded side effects."""
-        for rlo, rhi in self._nonstore_ranges:
-            if rlo <= lo and hi <= rhi:
-                return True
-        return False
 
     # ------------------------------------------------------------------
     # MJIT tier 2 (repro.cpu.jit)
     # ------------------------------------------------------------------
-    def jit_compile_mem(self, block):
-        """Compile *block* (mem namespace) to tier 2, or park it cold.
+    def jit_compile(self, block):
+        """Compile *block* to tier 2, or park it cold.
 
-        Called by the engine's unguarded loop once ``block.heat`` crosses
+        Called by the engine's fast loop once ``block.heat`` crosses
         :attr:`jit_threshold`.  Returns the compiled function (also
         cached on ``block.jit_fn``) or ``None`` when the codegen declined
         the block — then ``heat`` is parked at the cold sentinel so the
-        attempt is never repeated.
+        attempt is never repeated.  An mram block is compiled with the
+        interval pass's proven in-bounds site pcs, so the codegen elides
+        the runtime bounds guard at exactly the accesses MAS licensed.
         """
         from repro.cpu import jit as mjit
         t0 = perf_counter()
-        fn = mjit.compile_mem_block(block)
+        fn = mjit.compile_block(
+            block, self._proven_pcs if block.ns == "mram" else frozenset())
         self.stats.jit_compile_ms += (perf_counter() - t0) * 1e3
         if fn is None:
             block.heat = _JIT_COLD
@@ -575,29 +493,7 @@ class TranslationCache:
         block.jit_fn = fn
         self.stats.jit_blocks += 1
         if self.sink is not None:
-            self.sink.tcache_event("jit_compile", "mem", block.start,
-                                   len(block.entries))
-        return fn
-
-    def jit_compile_mram(self, block):
-        """MRAM-namespace twin of :meth:`jit_compile_mem`.
-
-        Passes the interval pass's proven in-bounds site pcs so the
-        codegen can elide the runtime bounds guard at exactly the
-        accesses MAS licensed (any other ``mld``/``mst`` keeps the
-        guarded ``execute()`` dispatch).
-        """
-        from repro.cpu import jit as mjit
-        t0 = perf_counter()
-        fn = mjit.compile_mram_block(block, self._proven_pcs)
-        self.stats.jit_compile_ms += (perf_counter() - t0) * 1e3
-        if fn is None:
-            block.heat = _JIT_COLD
-            return None
-        block.jit_fn = fn
-        self.stats.jit_blocks += 1
-        if self.sink is not None:
-            self.sink.tcache_event("jit_compile", "mram", block.start,
+            self.sink.tcache_event("jit_compile", block.ns, block.start,
                                    len(block.entries))
         return fn
 
@@ -607,13 +503,13 @@ class TranslationCache:
         The MVTV translation validator (``repro.verify``) harvests the
         corpus through this: every block MJIT has compiled and not since
         invalidated, with the namespace label (``"mem"``/``"mram"``)
-        the validator needs to pick the calling convention and the
+        the validator needs to pick the fetch latency and the
         proven-access facts (:attr:`proven_pcs`) that licensed it.
         """
-        for ns, table in (("mem", self._mem), ("mram", self._mram)):
+        for table in (self._mem, self._mram):
             for block in table.values():
                 if block.valid and block.jit_fn is not None:
-                    yield ns, block
+                    yield block.ns, block
 
     @property
     def proven_pcs(self) -> frozenset:
@@ -635,18 +531,19 @@ class TranslationCache:
     # ------------------------------------------------------------------
     # superblock chaining
     # ------------------------------------------------------------------
-    def chain_next_mem(self, block, next_pc: int, bus):
+    def chain_next(self, block, next_pc: int, src):
         """Follow (or install) *block*'s chain link toward *next_pc*.
 
-        Returns the successor mem-namespace block, or ``None`` when the
-        target cannot be translated.  The chain slot is a small LRU
-        target map (the MRU ``link``/``link_pc`` pair plus up to three
-        secondaries in ``links``), so a branch that alternates between a
-        handful of targets keeps every successor linked instead of
-        relinking on each flip.  A stale entry — successor evicted, or
-        the observed target absent from the map — is severed and
-        re-resolved through :meth:`mem_block`, so a chain can never reach
-        stale code.
+        Returns the successor block in *block*'s namespace (*src* is the
+        bus for ``mem`` blocks, the MRAM for ``mram`` ones), or ``None``
+        when the target cannot be translated.  The chain slot is a small
+        LRU target map (the MRU ``link``/``link_pc`` pair plus up to
+        three secondaries in ``links``), so a branch that alternates
+        between a handful of targets keeps every successor linked
+        instead of relinking on each flip.  A stale entry — successor
+        evicted, or the observed target absent from the map — is severed
+        and re-resolved through the namespace's block lookup, so a chain
+        can never reach stale code.
         """
         link = block.link
         if link is not None and block.link_pc == next_pc and link.valid:
@@ -657,23 +554,8 @@ class TranslationCache:
             return nxt
         if next_pc % 4:
             return None
-        nxt = self.mem_block(next_pc, bus)
-        if nxt is not None:
-            self._chain_install(block, next_pc, nxt)
-        return nxt
-
-    def chain_next_mram(self, block, next_pc: int, mram):
-        """MRAM-namespace twin of :meth:`chain_next_mem`."""
-        link = block.link
-        if link is not None and block.link_pc == next_pc and link.valid:
-            self.stats.chain_hits += 1
-            return link
-        nxt = self._chain_alt(block, next_pc)
-        if nxt is not None:
-            return nxt
-        if next_pc % 4:
-            return None
-        nxt = self.mram_block(next_pc, mram)
+        lookup = self.mram_block if block.ns == "mram" else self.mem_block
+        nxt = lookup(next_pc, src)
         if nxt is not None:
             self._chain_install(block, next_pc, nxt)
         return nxt
@@ -709,8 +591,7 @@ class TranslationCache:
             else:
                 return None
             if self.sink is not None:
-                ns = "mem" if self._mem.get(block.start) is block else "mram"
-                self.sink.tcache_event("chain_break", ns, block.start)
+                self.sink.tcache_event("chain_break", block.ns, block.start)
             return None
         self._chain_promote(block, next_pc, hit)
         stats.chain_hits += 1
@@ -782,9 +663,8 @@ class TranslationCache:
             # first delivery anyway — compiling them here means the very
             # first menter runs at steady-state speed.
             for block in blocks:
-                if block.pure and block.jit_fn is None \
-                        and block.heat > _JIT_COLD:
-                    self.jit_compile_mram(block)
+                if block.jit_fn is None and block.heat > _JIT_COLD:
+                    self.jit_compile(block)
         self.stats.preformed_blocks += compiled
         self.stats.preformed_links += links
         return compiled, links
@@ -828,31 +708,32 @@ class TranslationCache:
         """
         self.flush_mem()
 
+    def _drop_all(self, ns: str, table: dict) -> None:
+        """Invalidate and forget every block of namespace *ns*.
+
+        Blocks are marked invalid (not just unreachable) so chain links
+        held by surviving predecessors can never be followed into the
+        dropped code.
+        """
+        if not table:
+            return
+        for block in table.values():
+            block.valid = False
+            block.jit_fn = None
+        self.stats.invalidations += len(table)
+        if self.sink is not None:
+            self.sink.tcache_event("flush", ns, 0, len(table))
+        table.clear()
+
     def flush_mem(self) -> None:
-        if self._mem:
-            count = len(self._mem)
-            for block in self._mem.values():
-                block.valid = False
-                block.jit_fn = None
-            self.stats.invalidations += count
-            self._mem.clear()
-            self._mem_pages.clear()
-            if self.sink is not None:
-                self.sink.tcache_event("flush", "mem", 0, count)
+        self._drop_all("mem", self._mem)
+        self._mem_pages.clear()
         self.stats.flushes += 1
 
     def flush_all(self) -> None:
         """Drop everything (snapshot restore, tests)."""
         self.flush_mem()
-        if self._mram:
-            count = len(self._mram)
-            for block in self._mram.values():
-                block.valid = False
-                block.jit_fn = None
-            self.stats.invalidations += count
-            self._mram.clear()
-            if self.sink is not None:
-                self.sink.tcache_event("flush", "mram", 0, count)
+        self._drop_all("mram", self._mram)
         self._mram_version = None
 
     # ------------------------------------------------------------------

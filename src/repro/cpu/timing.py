@@ -24,6 +24,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+#: Extra cycles each ``StepInfo.control`` kind costs under the analytic
+#: model, named by the :class:`TimingModel` attribute that holds them.
+CONTROL_PENALTY = {
+    "branch": "branch_taken_penalty",
+    "jal": "jump_penalty",
+    "jalr": "branch_taken_penalty",
+    "mret": "mret_penalty",
+    "menter": "menter_cost",
+    "mexit": "mexit_cost",
+    "mraise": "jump_penalty",
+}
+
 
 @dataclass
 class TimingModel:

@@ -121,7 +121,7 @@ class Machine:
 
         restore_snapshot(self, snap)
 
-    def run_quantum(self, quantum: int, stop_pc: int = None):
+    def run_quantum(self, quantum: int, stop_pc: Optional[int] = None):
         """Run **at most** *quantum* instructions; never raises on the
         budget.  The engines' stepping is exact-budget: unless the guest
         halts first, exactly *quantum* instructions retire, and the
@@ -157,19 +157,6 @@ class Machine:
     def set_tcache(self, enabled: bool) -> None:
         """Toggle the translation-cache fast path (guest-invisible)."""
         self.sim.tcache_enabled = enabled
-
-    def set_tcache_chaining(self, enabled: bool) -> None:
-        """Toggle superblock chaining inside the tcache fast path
-        (guest-invisible; with it off every block bounces back to the
-        dispatch loop, the PR-1 behaviour)."""
-        self.sim.tcache.chain = bool(enabled)
-
-    def set_tcache_pure_loop(self, enabled: bool) -> None:
-        """Toggle the analysis-driven unguarded mram loop
-        (guest-invisible).  Flushes compiled blocks so already-compiled
-        mram blocks pick up (or drop) their purity marking."""
-        self.sim.tcache.pure_loop = bool(enabled)
-        self.sim.tcache.flush_all()
 
     def set_tcache_jit(self, enabled: bool) -> None:
         """Toggle the MJIT tier-2 compiler (guest-invisible; see

@@ -39,9 +39,8 @@ def plan_preform(image, profile=None, only_pure: bool = True) -> list:
 
     Offsets cover routine entries plus every CFG block leader of each
     eligible routine, ordered loop-heads-first.  Eligible routines are
-    the ``pure_dispatch`` ones (the only ones the unguarded fast loop
-    can run; pass ``only_pure=False`` to preform everything MAS
-    analysed).  *profile* optionally narrows the plan to routines that
+    the ``pure_dispatch`` ones (pass ``only_pure=False`` to preform
+    everything MAS analysed).  *profile* optionally narrows the plan to routines that
     recorded at least one hot mram trace: it may be a
     :class:`~repro.profile.sink.TraceEventSink`, a ``(ns, head_pc) ->
     aggregate`` table, or an iterable of mram head byte offsets.

@@ -35,8 +35,10 @@ from typing import Optional
 from repro.cpu.stats import TcacheStats
 from repro.profile.sink import TraceAggregate, hot_sorted
 
-#: TcacheStats counter names, in declaration order.
-_TCACHE_FIELDS = tuple(f.name for f in dc_fields(TcacheStats))
+#: TcacheStats counter names, in declaration order (the ``denied``
+#: dict is flattened into ``denied.<reason>`` counters).
+_TCACHE_FIELDS = tuple(f.name for f in dc_fields(TcacheStats)
+                       if f.name != "denied")
 
 
 @dataclass
@@ -249,6 +251,8 @@ class MetricsRegistry:
         perf = sim.perf
         tc = perf.tcache
         counters = {name: getattr(tc, name) for name in _TCACHE_FIELDS}
+        counters.update(
+            (f"denied.{reason}", n) for reason, n in tc.denied.items())
         stalls = {}
         timer = sim.timer
         if hasattr(timer, "stall_load_use"):

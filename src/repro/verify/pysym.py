@@ -26,12 +26,12 @@ import copy
 import re
 
 from repro.cpu.exceptions import Cause
+from repro.cpu.timing import CONTROL_PENALTY
 from repro.verify import sym as S
 from repro.verify.model import Exit, Summary
 
-MEM_PARAMS = ("core", "block", "timer", "sync", "budget",
-              "instret_base", "limit")
-MRAM_PARAMS = ("core", "metal", "timer", "budget", "instret_base", "limit")
+PARAMS = ("core", "block", "timer", "sync", "budget", "instret_base",
+          "limit")
 
 #: Loop-carried names the evaluator generalises at a ``while True`` head
 #: (anything else assigned in the body must be provably loop-invariant).
@@ -84,6 +84,7 @@ _EXEC = _Mark("execute")
 _UPK = _Mark("upk")
 _PK = _Mark("pk")
 _TRAPCTOR = _Mark("trapctor")
+_COST = _Mark("cost")
 
 #: Attribute reads on opaque markers (state-bearing ones are special-
 #: cased in :meth:`_Ev.eval` because they read evaluator state).
@@ -91,7 +92,9 @@ _ATTRS = {
     ("core", "regs"): _REGS,
     ("core", "read_mem"): _READM,
     ("core", "write_mem"): _WRITEM,
+    ("core", "metal"): _METAL,
     ("timer", "timing"): _TIMING,
+    ("timer", "cost"): _COST,
     ("metal", "mregs"): _MREGS,
     ("metal", "mram"): _MRAM,
     ("mregs", "read"): _MRRF,
@@ -193,8 +196,7 @@ def _assigns_name(node, name: str) -> bool:
 # ---------------------------------------------------------------------------
 
 class _Ev:
-    def __init__(self, mem: bool):
-        self.mem = mem
+    def __init__(self):
         self.exits = []
         self.entry = {}
         self.looped = False
@@ -412,6 +414,12 @@ class _Ev:
             self.expect_data(args[0])
             st.alloc(("pk", args[1], args[2]))
             return None
+        if tag == "cost":
+            self.expect_args(tag, args, kwargs, 1)
+            if not (isinstance(args[0], _Mark)
+                    and args[0].tag == "stepinfo"):
+                raise UnsupportedSource("cost() of a non-StepInfo")
+            return self.step_cost(st, args[0].arg)
         if tag == "opfn":
             self.expect_args(tag, args, kwargs, 2)
             return S.alu(fn.arg, args[0], args[1])
@@ -422,6 +430,23 @@ class _Ev:
             k = st.alloc(("raise", args[0], args[1]))
             return _Mark("trapval", k)
         raise UnsupportedSource(f"call of {tag}")
+
+    @staticmethod
+    def step_cost(st: CState, k: int):
+        """``SimpleTimer.cost`` of the StepInfo ``execute()`` returned as
+        event *k*: the fetch latency passed to that call (at least one
+        cycle), data latency beyond one cycle, and the control kind's
+        penalty from the shared table.  Generic entries are never
+        MULDIV — the codegen inlines those — so no execute-stage extra
+        applies."""
+        fetch = st.events[k][3]
+        lat, ctl = _esym(k, "lat"), _esym(k, "ctl")
+        penalty = 0
+        for kind, attr in reversed(tuple(CONTROL_PENALTY.items())):
+            penalty = S.ite(S.eq(ctl, kind), S.sym(f"T.{attr}"), penalty)
+        return S.add(S.ite(S.lt(1, fetch), fetch, 1),
+                     S.ite(S.lt(1, lat), S.add(lat, -1), 0),
+                     S.ite(S.notnone(ctl), penalty, 0))
 
     @staticmethod
     def expect_args(tag, args, kwargs, n) -> None:
@@ -706,7 +731,7 @@ class _Ev:
         return out
 
 
-def candidate_summary(source: str, mem: bool) -> Summary:
+def candidate_summary(source: str) -> Summary:
     """Symbolically evaluate a ``__jit_source__`` into a Summary.
 
     Raises :class:`UnsupportedSource` when the source leaves the MJIT
@@ -720,15 +745,14 @@ def candidate_summary(source: str, mem: bool) -> Summary:
         raise UnsupportedSource(f"function name {fn.name!r}")
     a = fn.args
     names = tuple(arg.arg for arg in a.args)
-    expected = MEM_PARAMS if mem else MRAM_PARAMS
-    if (names != expected or a.posonlyargs or a.kwonlyargs or a.vararg
+    if (names != PARAMS or a.posonlyargs or a.kwonlyargs or a.vararg
             or a.kwarg or a.defaults):
         raise UnsupportedSource(
-            f"calling convention: params {names} != {expected}")
-    ev = _Ev(mem)
+            f"calling convention: params {names} != {PARAMS}")
+    ev = _Ev()
     st = CState()
     st.vars = {
-        "core": _CORE, "timer": _TIMER,
+        "core": _CORE, "block": _BLOCK, "timer": _TIMER, "sync": _SYNC,
         "budget": S.sym("budget"),
         "instret_base": S.sym("instret_base"),
         "limit": S.sym("limit"),
@@ -736,11 +760,6 @@ def candidate_summary(source: str, mem: bool) -> Summary:
         "CAUSE_BUS_ERROR": int(Cause.BUS_ERROR),
         "_upk": _UPK, "_pk": _PK,
     }
-    if mem:
-        st.vars["block"] = _BLOCK
-        st.vars["sync"] = _SYNC
-    else:
-        st.vars["metal"] = _METAL
     leftover = ev.exec_stmts(fn.body, [st])
     if leftover:
         raise UnsupportedSource("control falls off the end of the "

@@ -6,9 +6,10 @@ Three layers:
   pass at the *right* word;
 * no-false-positives — every bundled mcode application lints clean
   (zero error diagnostics) under the strict :data:`LINT_CONFIG`;
-* the purity handoff — facts flow loader → image → translation cache,
-  the unguarded mram loop engages, and it is guest-invisible
-  (bit-identical architectural results with it on or off).
+* purity facts — routines classify by what they touch; dispatch no
+  longer depends on them: every mram block, store-free or not, takes
+  the engine's batched fast loop, guest-invisibly (bit-identical
+  architectural results with the translation cache on or off).
 """
 
 import pytest
@@ -315,16 +316,12 @@ class TestPurityFacts:
         assert facts.purity is Purity.PURE
         assert facts.pure_dispatch
         assert facts.has_loops
-        spin = image.routines["spin"]
-        assert image.nonstore_code_ranges() == [
-            (0, 4 * len(spin.code_words))]
 
     def test_ram_store_blocks_pure_dispatch(self):
         image = load_mroutines([routine("spin", 1, STORE_SPIN)])
         facts = image.routines["spin"].facts
         assert facts.purity is Purity.WRITES_RAM
         assert not facts.pure_dispatch
-        assert image.nonstore_code_ranges() == []
 
     def test_ram_load_classified(self):
         image = load_mroutines([routine(
@@ -339,46 +336,36 @@ class TestPurityFacts:
         facts = image.routines["bump"].facts
         assert facts.purity is Purity.MRAM_ONLY
         assert facts.pure_dispatch        # mram data writes cannot
-        # invalidate translations, so the unguarded loop stays safe.
+        # invalidate translations.
 
 
 class TestTcachePureLoop:
+    """Purity no longer gates dispatch: MRAM blocks take the batched fast
+    loop whether or not their routine touches guest RAM."""
+
+    #: One SPIN call: li, 40 loop iterations of two, mexit.
+    SPIN_CALL = 82
+
     def test_pure_loop_engages(self):
         m = spin_machine()
         m.load_and_run(DRIVER)
         tc = m.perf.tcache
-        assert tc.pure_blocks > 0
-        assert tc.pure_fast_instructions > 0
+        assert tc.fast_loop_instructions >= 20 * self.SPIN_CALL
 
     def test_guest_invisible_bit_identical(self):
-        runs = {}
-        for enabled in (True, False):
-            m = spin_machine()
-            m.set_tcache_pure_loop(enabled)
-            m.load_and_run(DRIVER)
-            runs[enabled] = (m.instret, m.cycles, m.reg("s0"))
-        assert runs[True] == runs[False]
-        # the pure loop only runs when enabled
-        m = spin_machine()
-        m.set_tcache_pure_loop(False)
-        m.load_and_run(DRIVER)
-        assert m.perf.tcache.pure_fast_instructions == 0
+        for source in (SPIN, STORE_SPIN):
+            runs = {}
+            for enabled in (True, False):
+                m = spin_machine(source)
+                m.set_tcache(enabled)
+                m.load_and_run(DRIVER)
+                runs[enabled] = (m.instret, m.cycles, m.reg("s0"),
+                                 m.read_word(0x7000))
+            assert runs[True] == runs[False]
 
-    def test_impure_routine_not_dispatched_pure(self):
+    def test_ram_store_routine_takes_fast_loop(self):
         m = spin_machine(STORE_SPIN)
         m.load_and_run(DRIVER)
-        assert m.perf.tcache.pure_blocks == 0
-        assert m.perf.tcache.pure_fast_instructions == 0
+        tc = m.perf.tcache
+        assert tc.fast_loop_instructions >= 20 * (self.SPIN_CALL + 40)
         assert m.read_word(0x7000) == 1   # the store really happened
-
-    def test_reload_drops_stale_purity(self):
-        m = spin_machine()
-        m.load_and_run(DRIVER)
-        assert m.perf.tcache.pure_blocks > 0
-        m.reload_mroutines([routine("spin", 1, STORE_SPIN)])
-        assert m.metal_image.nonstore_code_ranges() == []
-        before = m.perf.tcache.pure_blocks
-        m.reset()
-        m.load_and_run(DRIVER)
-        assert m.perf.tcache.pure_blocks == before
-        assert m.read_word(0x7000) == 1

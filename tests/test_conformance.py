@@ -14,7 +14,7 @@ Four layers, mirroring ``src/repro/conformance``:
   bug is worthless);
 * coverage — bucket extraction from decoded words and the MAS CFG,
   plus the accumulating map;
-* campaign — small five-way lockstep sweeps pass, reports are
+* campaign — small four-way lockstep sweeps pass, reports are
   byte-identical between inline and worker-pool execution, and
   coverage-guided scheduling reaches decoder buckets that 500 unguided
   seeds provably never touch.

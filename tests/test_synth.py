@@ -1,6 +1,6 @@
 """MSYNTH tests: candidate mining safety rules, generated-routine
 verification, the loader's append path, guest rewriting, end-to-end
-digest parity + speedup, and the five-way lockstep differential with
+digest parity + speedup, and the four-way lockstep differential with
 synthesis enabled.
 
 The load-bearing properties:
@@ -11,7 +11,7 @@ The load-bearing properties:
 * generated routines pass MAS (``MRAM_ONLY``, pure dispatch) and the
   MCONF independent decode oracle;
 * appending to a live image refreshes everything downstream — facts,
-  nonstore ranges, the tcache's mram translations — and commits nothing
+  proven-access sites, the tcache's mram translations — and commits nothing
   on failure;
 * a rewritten guest is bit-identical to baseline everywhere outside the
   patched bytes, across every execution variant MCONF locksteps.
@@ -214,7 +214,6 @@ class TestAppend:
         base = MRoutine(name="first", entry=0, source="mexit\n")
         machine = build_metal_machine([base], with_caches=False)
         image = machine.metal_image
-        before_ranges = image.nonstore_code_ranges()
         version = image.mram.code_version
         added = machine.append_mroutines([self._routine(source="""
     addi t0, t0, 1
@@ -223,7 +222,7 @@ class TestAppend:
         assert image.mram.code_version > version
         assert "late" in image.analysis
         assert added[0].facts is not None
-        assert len(image.nonstore_code_ranges()) == len(before_ranges) + 1
+        assert image.analysis["late"].facts.pure_dispatch
         assert machine.symbols["MR_LATE"] == 1
 
     def test_appended_routine_executes_after_prior_compile(self):
@@ -355,7 +354,7 @@ class TestPipeline:
 
 
 class TestLockstepWithSynthesis:
-    """The MCONF five-way differential, with MSYNTH enabled: every
+    """The MCONF four-way differential, with MSYNTH enabled: every
     execution variant runs the same rewritten guest and must agree on
     all architecturally visible state — and the masked digest must
     equal an unpatched baseline's."""
@@ -367,16 +366,14 @@ class TestLockstepWithSynthesis:
             tcache=(name != "interp"))
         if setup is not None:
             setup(machine)
-        if name == "tcache":
-            machine.set_tcache_chaining(False)
-        elif name == "profiled":
+        if name == "profiled":
             machine.set_profiling(True)
         elif name == "jit":
             machine.set_tcache_jit(True)
             machine.sim.tcache.jit_threshold = 1
         return machine
 
-    def test_five_way_differential_25_seeds(self):
+    def test_four_way_differential_25_seeds(self):
         for seed in range(25):
             name = ("tight_loop", "hash_mix")[seed % 2]
             workload = WORKLOADS[name]

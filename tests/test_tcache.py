@@ -503,22 +503,51 @@ def test_snapshot_restore_severs_chains():
     )
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_chaining_toggle(engine):
-    """set_tcache_chaining(False) reverts to per-block dispatch (the
-    PR-1 behaviour): no chain counters move, guest results unchanged."""
-    outcomes = {}
-    for chain in (True, False):
-        noop = MRoutine(name="noop", entry=0, source="mexit\n")
-        machine = build_metal_machine([noop], engine=engine,
-                                      with_caches=False)
-        machine.set_tcache_chaining(chain)
-        result = machine.load_and_run(FIB_WORKLOAD, max_instructions=10_000)
-        outcomes[chain] = (result.instructions, result.cycles,
-                           tuple(machine.core.regs))
-        stats = machine.perf.tcache
-        if not chain:
-            assert stats.chain_links == 0
-            assert stats.chain_hits == 0
-            assert stats.chain_breaks == 0
-    assert outcomes[True] == outcomes[False]
+# ---------------------------------------------------------------------------
+# fast-path denial counters
+# ---------------------------------------------------------------------------
+
+def test_cached_tight_loop_denied_for_icache():
+    """With the default I-cache every guest block is guarded, and the
+    counters attribute every retirement to the cache."""
+    from repro.profile.registry import MetricsRegistry
+    from repro.profile.workloads import workload_source
+
+    machine = build_metal_machine([])
+    result = machine.load_and_run(workload_source("tight_loop", 300))
+    tc = machine.perf.tcache
+    assert tc.denied["icache"] == result.instructions
+    assert sum(tc.denied.values()) == result.instructions
+    assert tc.fast_loop_instructions == 0
+    assert f"icache {result.instructions}" in machine.perf.summary()
+    counters = MetricsRegistry(machine).snapshot().counters
+    assert counters["denied.icache"] == result.instructions
+    assert counters["denied.tlb"] == 0
+    tc.reset()
+    assert not any(tc.denied.values())
+
+
+def test_tlb_on_pagetable_app_denied_for_tlb():
+    """Normal-mode code under the TLB falls back to step(); every such
+    retirement is attributed, and nothing else leaves the fast loop."""
+    from tests.test_mram_guest_ram import run_app
+
+    machine = run_app("pagetable", "tcache", with_caches=False)
+    perf = machine.perf
+    denied = perf.tcache.denied
+    assert denied["tlb"] > 0
+    fallbacks = sum(denied[r] for r in ("tlb", "intercept", "waiting",
+                                        "no_block"))
+    assert fallbacks == perf.slow_instructions
+    assert perf.tcache.fast_loop_instructions == (
+        perf.guest_instructions - sum(denied.values()))
+    assert perf.tcache.fast_loop_instructions > 0   # boot, MRAM walker
+
+
+def test_pipeline_engine_denied_for_pipeline_timer():
+    from repro.profile.workloads import workload_source
+
+    machine = build_metal_machine([], engine="pipeline", with_caches=False)
+    result = machine.load_and_run(workload_source("tight_loop", 100))
+    denied = machine.perf.tcache.denied
+    assert denied["pipeline_timer"] == result.instructions

@@ -107,14 +107,14 @@ def test_missing_jit_eviction_is_detected():
     # the dispatcher a stale jit_fn to call.
     override = _mutated(
         "cpu/tcache.py",
-        "                block.valid = False\n"
-        "                block.jit_fn = None",
-        "                block.valid = False")
+        "            block.valid = False\n"
+        "            block.jit_fn = None",
+        "            block.valid = False")
     findings = check_eviction_completeness(override_sources=override)
     assert len(findings) == 1
     finding = findings[0]
     assert finding.pass_name == "eviction"
-    assert "flush_mem" in finding.where
+    assert "_drop_all" in finding.where
 
 
 # ---------------------------------------------------------------------------
