@@ -27,15 +27,15 @@ The workload programs and machine shapes live in
 so a profiled workload and a benchmarked one are the same program.
 
 Each workload is measured in three modes: the interpreter
-(``tcache_off``), the translation cache with superblock chaining
-(``tcache_on``), and the same with the MJIT tier-2 compiler on
-(``tcache_jit`` — hot blocks recompiled to specialized Python source,
-see :mod:`repro.cpu.jit`; drop the mode with ``--nojit``).  The JSON
-records the cache win over the interpreter (``speedup``) and the
-tier-2 win over the closure tier (``jit_speedup``), plus each mode's
-fast-loop instruction count and fast-path denials by reason.  A
-``trajectory`` list in the JSON keeps the tight-loop functional numbers
-of every earlier run for trend tracking.
+(``tcache_off``), the translation cache with superblock chaining but
+MJIT off, so every block runs the engine's guarded per-entry loop
+(``tcache_nojit``), and the default machine (``tcache``), whose
+batched fast loop runs every block as MJIT-compiled Python (see
+:mod:`repro.cpu.jit`).  The JSON records the default machine's win
+over the interpreter (``speedup``), plus each mode's fast-loop
+instruction count and fast-path denials by reason.  A ``trajectory``
+list in the JSON keeps the tight-loop functional numbers of every
+earlier run for trend tracking.
 
 Since PR 4 the JSON also records the MPROF numbers:
 
@@ -49,18 +49,18 @@ Since PR 4 the JSON also records the MPROF numbers:
   links at build time.  Guest results must be bit-identical; the MIPS
   delta is recorded win or lose (preformation buys first-delivery
   latency, not steady-state throughput, so expect ~parity on a
-  long-running loop).  Since PR 6 a third configuration combines
-  preformation with MJIT: the planned loop heads are tier-2 compiled at
-  build time, so the *first* delivery already runs through compiled
-  code — asserted by checking ``jit_blocks`` before the run starts.
+  long-running loop).  Preformation also compiles the planned loop
+  heads with MJIT at build time, so the *first* delivery already runs
+  through compiled code — asserted by checking ``jit_blocks`` before
+  the run starts.
 
 The tcache is architecture-invisible, so for every workload and engine
 the guest results (``RunResult.instructions`` / ``cycles``) must be
 bit-identical across all three modes — this file asserts that, plus the
-headline wins for the functional engine on the tight loop: ≥2.6× over
-the interpreter, and with MJIT on a tier-2 dispatch share ≥90% and
-≥6.16 MIPS absolute (2× the PR-4 trajectory number).  Results land in
-``BENCH_host_throughput.json`` at the repo root.
+headline wins for the functional engine on the tight loop in the
+default ``tcache`` mode: ≥2.6× over the interpreter, an MJIT dispatch
+share ≥90% and ≥6.16 MIPS absolute (2× the PR-4 trajectory number).
+Results land in ``BENCH_host_throughput.json`` at the repo root.
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_host_throughput.py``)
 or via pytest.  ``--smoke`` runs a <30s subset for CI: it checks the
@@ -90,7 +90,7 @@ JSON_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
 SMOKE_JSON_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                                "BENCH_host_throughput_smoke.json")
 #: Label this revision's tight-loop numbers carry in the JSON trajectory.
-TRAJECTORY_LABEL = "one_executor"
+TRAJECTORY_LABEL = "one_compiled_tier"
 
 
 def _build(workload: str, engine: str):
@@ -103,15 +103,10 @@ def _build(workload: str, engine: str):
 
 #: Measurement modes: (tcache, jit).
 _MODES = {
-    "tcache_off": (False, False),
-    "tcache_on": (True, False),
-    "tcache_jit": (True, True),
+    "tcache_off": (False, True),
+    "tcache_nojit": (True, False),
+    "tcache": (True, True),
 }
-
-
-def _modes(jit: bool = True):
-    """The mode names to measure (``--nojit`` drops ``tcache_jit``)."""
-    return [m for m in _MODES if jit or m != "tcache_jit"]
 
 
 def _measure(workload: str, engine: str, mode: str, iters: int,
@@ -127,7 +122,8 @@ def _measure(workload: str, engine: str, mode: str, iters: int,
     for _ in range(reps):
         machine = _build(workload, engine)
         machine.set_tcache(tcache)
-        machine.set_tcache_jit(jit)
+        if not jit:
+            machine.set_tcache_jit(False)
         host0 = perf_counter()
         result = machine.load_and_run(source, max_instructions=50_000_000)
         host = perf_counter() - host0
@@ -162,37 +158,32 @@ def _measure(workload: str, engine: str, mode: str, iters: int,
         row["fast_loop"] = best_stats.fast_loop_instructions
         row["denied"] = {reason: n for reason, n in best_stats.denied.items()
                          if n}
-    if jit:
+    if tcache and jit:
         row["jit"] = {
             "blocks": best_stats.jit_blocks,
             "instructions": best_stats.jit_instructions,
             "dispatch_share": round(best_stats.jit_dispatch_share, 4),
+            "memo_hits": best_stats.jit_memo_hits,
             "compile_ms": round(best_stats.jit_compile_ms, 3),
         }
     return row
 
 
-def run_suite(iters: dict, reps: int, engines=("functional", "pipeline"),
-              jit: bool = True):
+def run_suite(iters: dict, reps: int, engines=("functional", "pipeline")):
     results = {}
-    modes = _modes(jit)
     for workload, n in iters.items():
         results[workload] = {}
         for engine in engines:
             row = {"iterations": n}
-            for mode in modes:
+            for mode in _MODES:
                 row[mode] = _measure(workload, engine, mode, n, reps)
-            off, on = row["tcache_off"], row["tcache_on"]
+            off, on = row["tcache_off"], row["tcache"]
             row["speedup"] = round(
                 on["mips"] / off["mips"] if off["mips"] else 0.0, 3)
-            if "tcache_jit" in row:
-                row["jit_speedup"] = round(
-                    row["tcache_jit"]["mips"] / on["mips"]
-                    if on["mips"] else 0.0, 3)
             results[workload][engine] = row
             # The tcache (jit or not) is guest-invisible:
             # identical results in every mode.
-            for mode in modes[1:]:
+            for mode in ("tcache_nojit", "tcache"):
                 for key in ("instructions", "cycles"):
                     assert row[mode][key] == off[key], (
                         f"{workload}/{engine}/{mode}: tcache changed "
@@ -253,34 +244,30 @@ def measure_profiler_overhead(iters: int, reps: int,
 
 
 def measure_preformation(iters: int, reps: int,
-                         engine: str = "functional",
-                         jit: bool = True) -> dict:
+                         engine: str = "functional") -> dict:
     """mcode_heavy MIPS: dynamic chain warmup vs superblock preformation.
 
     Preformation compiles and pre-chains the pure mroutine's blocks at
-    build time (``Machine.preform_superblocks``); the dynamic baseline
-    lets the chainer discover them on first dispatch.  Results must be
-    bit-identical; the MIPS delta is recorded win or lose.  With *jit*,
-    a third configuration combines preformation with MJIT: the planned
-    loop heads must be tier-2 compiled *before the run starts*, so the
-    first delivery of the mroutine already executes at steady state.
+    build time (``Machine.preform_superblocks``), MJIT-compiling the
+    planned loop heads *before the run starts*, so the first delivery
+    of the mroutine already executes at steady state; the dynamic
+    baseline lets the chainer discover and compile them on first
+    dispatch.  Results must be bit-identical; the MIPS delta is
+    recorded win or lose.
     """
     source = workload_source("mcode_heavy", iters)
 
-    def best(preform: bool, with_jit: bool = False):
+    def best(preform: bool):
         best_mips, ref = 0.0, None
         blocks = links = warmed = 0
         for _ in range(reps):
             machine = _build("mcode_heavy", engine)
-            if with_jit:
-                machine.set_tcache_jit(True)
             if preform:
                 blocks, links = machine.preform_superblocks()
-            if with_jit:
                 warmed = machine.perf.tcache.jit_blocks
                 assert warmed > 0, (
-                    "preform+jit left the loop heads cold: first delivery "
-                    "would not run at steady state")
+                    "preformation left the loop heads uncompiled: first "
+                    "delivery would not run at steady state")
             host0 = perf_counter()
             result = machine.load_and_run(source,
                                           max_instructions=50_000_000)
@@ -296,7 +283,7 @@ def measure_preformation(iters: int, reps: int,
         return best_mips, ref, blocks, links, warmed
 
     dyn_mips, dyn_ref, _, _, _ = best(False)
-    pre_mips, pre_ref, blocks, links, _ = best(True)
+    pre_mips, pre_ref, blocks, links, warmed = best(True)
     assert pre_ref == dyn_ref, (
         f"preformation changed guest-visible results: {pre_ref} vs {dyn_ref}"
     )
@@ -310,15 +297,8 @@ def measure_preformation(iters: int, reps: int,
             pre_mips / dyn_mips if dyn_mips else 0.0, 3),
         "preformed_blocks": blocks,
         "preformed_links": links,
+        "preformed_jit_blocks_warm": warmed,
     }
-    if jit:
-        jit_mips, jit_ref, _, _, warmed = best(True, with_jit=True)
-        assert jit_ref == dyn_ref, (
-            f"preform+jit changed guest-visible results: "
-            f"{jit_ref} vs {dyn_ref}"
-        )
-        report["preformed_jit_mips"] = round(jit_mips, 4)
-        report["preformed_jit_blocks_warm"] = warmed
     return report
 
 
@@ -357,19 +337,15 @@ def _trajectory(results: dict, previous,
             "label": TRAJECTORY_LABEL,
             "tight_loop_functional": {
                 "tcache_off_mips": tight["tcache_off"]["mips"],
-                "tcache_on_mips": tight["tcache_on"]["mips"],
+                "tcache_nojit_mips": tight["tcache_nojit"]["mips"],
+                "tcache_mips": tight["tcache"]["mips"],
                 "speedup": tight["speedup"],
             },
         }
-        if "tcache_jit" in tight:
-            entry["tight_loop_functional"]["tcache_jit_mips"] = (
-                tight["tcache_jit"]["mips"])
-            entry["tight_loop_functional"]["jit_speedup"] = (
-                tight["jit_speedup"])
         mcode = results.get("mcode_heavy", {}).get("functional")
         if mcode:
             entry["mcode_heavy_functional"] = {
-                "tcache_on_mips": mcode["tcache_on"]["mips"],
+                "tcache_mips": mcode["tcache"]["mips"],
             }
         if profiler:
             entry["profiler"] = {
@@ -381,22 +357,6 @@ def _trajectory(results: dict, previous,
                       if e.get("label") != entry["label"]]
         trajectory.append(entry)
     return trajectory
-
-
-def _disabled_vs_pr4(trajectory: list) -> float:
-    """Relative tight-loop tcache_on (closure-tier) MIPS change of this
-    run vs the PR-4 trajectory entry (negative = slower than PR 4).
-    Records whether the dormant JIT hooks (heat counter, tier-2 probe)
-    cost the closure tier anything; cross-run wall clock, so recorded
-    rather than asserted."""
-    by_label = {e.get("label"): e for e in trajectory}
-    pr4 = by_label.get("pr4_mprof")
-    now = by_label.get(TRAJECTORY_LABEL)
-    if not pr4 or not now:
-        return None
-    old = pr4["tight_loop_functional"]["tcache_on_mips"]
-    new = now["tight_loop_functional"]["tcache_on_mips"]
-    return round(new / old - 1.0, 4) if old else None
 
 
 def _emit_json(results: dict, json_path: str = JSON_PATH,
@@ -411,10 +371,6 @@ def _emit_json(results: dict, json_path: str = JSON_PATH,
         "trajectory": trajectory,
     }
     if profiler:
-        profiler = dict(profiler)
-        delta = _disabled_vs_pr4(trajectory)
-        if delta is not None:
-            profiler["disabled_mips_vs_pr4"] = delta
         payload["profiler"] = profiler
     if preformation:
         payload["preformation"] = preformation
@@ -427,21 +383,15 @@ def _emit_json(results: dict, json_path: str = JSON_PATH,
 def _print_table(results: dict) -> None:
     print()
     print(f"{'workload':<18} {'engine':<11} {'off MIPS':>9} "
-          f"{'on MIPS':>9} {'jit MIPS':>9} "
-          f"{'speedup':>8} {'jit':>7} {'hit rate':>9}")
+          f"{'nojit MIPS':>10} {'MIPS':>9} {'speedup':>8} {'hit rate':>9}")
     for workload, engines in results.items():
         for engine, row in engines.items():
-            jit = row.get("tcache_jit")
-            jit_mips = f"{jit['mips']:>9.3f}" if jit else f"{'—':>9}"
-            jit_speedup = (f"{row['jit_speedup']:>6.2f}x"
-                           if jit else f"{'—':>7}")
             print(f"{workload:<18} {engine:<11} "
                   f"{row['tcache_off']['mips']:>9.3f} "
-                  f"{row['tcache_on']['mips']:>9.3f} "
-                  f"{jit_mips} "
+                  f"{row['tcache_nojit']['mips']:>10.3f} "
+                  f"{row['tcache']['mips']:>9.3f} "
                   f"{row['speedup']:>7.2f}x "
-                  f"{jit_speedup} "
-                  f"{row['tcache_on']['hit_rate']:>8.1%}")
+                  f"{row['tcache']['hit_rate']:>8.1%}")
     print()
 
 
@@ -449,14 +399,22 @@ def _assert_mram_fast_loop(results: dict) -> None:
     """mcode_heavy retires every instruction, its mroutine's included,
     through the batched fast loop: MRAM blocks need no analysis facts
     to get there."""
-    mcode = results["mcode_heavy"]["functional"]["tcache_on"]
+    mcode = results["mcode_heavy"]["functional"]["tcache"]
     assert mcode["fast_loop"] == mcode["instructions"], (
         f"mcode_heavy: {mcode['instructions'] - mcode['fast_loop']} "
         f"instructions left the fast loop (denied: {mcode['denied']})"
     )
 
 
-def run_full(jit: bool = True) -> dict:
+def _assert_tight_loop_compiled(tight: dict) -> None:
+    """The default machine retires the tight loop through MJIT code."""
+    share = tight["tcache"]["jit"]["dispatch_share"]
+    assert share >= 0.90, (
+        f"tight-loop MJIT dispatch share {share:.1%} < 90%"
+    )
+
+
+def run_full() -> dict:
     iters = {
         "tight_loop": 100_000,
         "chain_trampoline": 60_000,
@@ -465,11 +423,10 @@ def run_full(jit: bool = True) -> dict:
         "intercept_heavy": 15_000,
         "mcode_heavy": 15_000,
     }
-    results = run_suite(iters, reps=3, jit=jit)
+    results = run_suite(iters, reps=3)
     _print_table(results)
     profiler = measure_profiler_overhead(iters["tight_loop"], reps=3)
-    preformation = measure_preformation(iters["mcode_heavy"], reps=3,
-                                        jit=jit)
+    preformation = measure_preformation(iters["mcode_heavy"], reps=3)
     print(f"profiler overhead  : off {profiler['profiling_off_mips']:.3f} "
           f"MIPS, on {profiler['profiling_on_mips']:.3f} MIPS "
           f"({profiler['enabled_overhead']:.1%} enabled overhead)")
@@ -487,7 +444,7 @@ def run_full(jit: bool = True) -> dict:
     assert preformation["preformed_blocks"] > 0, (
         "preformation compiled no blocks on mcode_heavy"
     )
-    poly = results["poly_branch"]["functional"]["tcache_on"]["chains"]
+    poly = results["poly_branch"]["functional"]["tcache"]["chains"]
     assert poly["poly_hits"] > 0, (
         "poly_branch workload never hit a secondary chain target"
     )
@@ -499,39 +456,27 @@ def run_full(jit: bool = True) -> dict:
     assert tight["speedup"] >= 2.6, (
         f"tight-loop functional speedup {tight['speedup']}x < 2.6x"
     )
-    assert tight["tcache_on"]["hit_rate"] >= 0.90, (
-        f"tight-loop hit rate {tight['tcache_on']['hit_rate']:.1%} < 90%"
+    assert tight["tcache"]["hit_rate"] >= 0.90, (
+        f"tight-loop hit rate {tight['tcache']['hit_rate']:.1%} < 90%"
     )
     tramp = results["chain_trampoline"]["functional"]
-    assert tramp["tcache_on"]["chains"]["hits"] > 0, (
+    assert tramp["tcache"]["chains"]["hits"] > 0, (
         "trampoline workload never followed a chain link"
     )
     _assert_mram_fast_loop(results)
-    if jit:
-        tight_jit = tight["tcache_jit"]
-        assert tight_jit["jit"]["dispatch_share"] >= 0.90, (
-            f"tight-loop tier-2 dispatch share "
-            f"{tight_jit['jit']['dispatch_share']:.1%} < 90%"
-        )
-        assert tight_jit["mips"] >= 6.16, (
-            f"tight-loop MJIT MIPS {tight_jit['mips']} < 6.16 "
-            f"(2x the PR-4 trajectory number)"
-        )
-        assert tight["jit_speedup"] >= 1.5, (
-            f"tight-loop tier-2 speedup {tight['jit_speedup']}x < 1.5x "
-            f"over the closure tier"
-        )
-        assert preformation["preformed_jit_blocks_warm"] > 0, (
-            "preform+jit warmed no tier-2 blocks"
-        )
+    _assert_tight_loop_compiled(tight)
+    assert tight["tcache"]["mips"] >= 6.16, (
+        f"tight-loop MIPS {tight['tcache']['mips']} < 6.16 "
+        f"(2x the PR-4 trajectory number)"
+    )
     return results
 
 
-def run_smoke(jit: bool = True) -> dict:
+def run_smoke() -> dict:
     """CI subset: functional engine, small iteration counts, one rep.
 
     Asserts the structural properties (hit rate, cross-mode equality,
-    chains engaging, tier-2 dispatch share) but not the wall-clock
+    chains engaging, MJIT dispatch share) but not the wall-clock
     speedups, which are too noisy for shared runners.  Writes its
     numbers to a separate smoke JSON so the committed full-run results
     stay untouched.
@@ -544,24 +489,23 @@ def run_smoke(jit: bool = True) -> dict:
         "intercept_heavy": 1_500,
         "mcode_heavy": 2_000,
     }
-    results = run_suite(iters, reps=1, engines=("functional",), jit=jit)
+    results = run_suite(iters, reps=1, engines=("functional",))
     _print_table(results)
     profiler = measure_profiler_overhead(iters["tight_loop"], reps=1)
-    preformation = measure_preformation(iters["mcode_heavy"], reps=1,
-                                        jit=jit)
+    preformation = measure_preformation(iters["mcode_heavy"], reps=1)
     path = _emit_json(results, json_path=SMOKE_JSON_PATH,
                       profiler=profiler, preformation=preformation)
     print(f"smoke results written to {path}")
     tight = results["tight_loop"]["functional"]
-    assert tight["tcache_on"]["hit_rate"] >= 0.90, (
-        f"tight-loop hit rate {tight['tcache_on']['hit_rate']:.1%} < 90%"
+    assert tight["tcache"]["hit_rate"] >= 0.90, (
+        f"tight-loop hit rate {tight['tcache']['hit_rate']:.1%} < 90%"
     )
     for workload in ("tight_loop", "chain_trampoline"):
-        chains = results[workload]["functional"]["tcache_on"]["chains"]
+        chains = results[workload]["functional"]["tcache"]["chains"]
         assert chains["hits"] > 0, (
             f"{workload}: chaining never engaged (links={chains['links']})"
         )
-    poly = results["poly_branch"]["functional"]["tcache_on"]["chains"]
+    poly = results["poly_branch"]["functional"]["tcache"]["chains"]
     assert poly["poly_hits"] > 0, (
         "poly_branch: the polymorphic target map never hit"
     )
@@ -571,18 +515,7 @@ def run_smoke(jit: bool = True) -> dict:
     assert preformation["preformed_blocks"] > 0, (
         "preformation compiled no blocks"
     )
-    if jit:
-        tight_jit = tight["tcache_jit"]["jit"]
-        assert tight_jit["blocks"] > 0, (
-            "tight_loop: MJIT compiled no blocks"
-        )
-        assert tight_jit["dispatch_share"] >= 0.90, (
-            f"tight_loop: tier-2 dispatch share "
-            f"{tight_jit['dispatch_share']:.1%} < 90%"
-        )
-        assert preformation["preformed_jit_blocks_warm"] > 0, (
-            "preform+jit warmed no tier-2 blocks"
-        )
+    _assert_tight_loop_compiled(tight)
     return results
 
 
@@ -595,18 +528,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="fast CI subset (<30s, no speedup assertion)")
-    jit_group = parser.add_mutually_exclusive_group()
-    jit_group.add_argument("--jit", dest="jit", action="store_true",
-                           default=True,
-                           help="measure the MJIT tier-2 mode (default)")
-    jit_group.add_argument("--nojit", dest="jit", action="store_false",
-                           help="skip the tcache_jit mode and its asserts")
     args = parser.parse_args(argv)
     try:
         if args.smoke:
-            run_smoke(jit=args.jit)
+            run_smoke()
         else:
-            run_full(jit=args.jit)
+            run_full()
     except AssertionError as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
         return 1

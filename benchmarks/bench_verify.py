@@ -55,7 +55,7 @@ def run_experiment() -> dict:
 def check_shape(result: dict) -> None:
     report = result["report"]
     assert report.findings == [], "translation validation found a divergence"
-    assert report.blocks_validated > 0, "corpus produced no tier-2 blocks"
+    assert report.blocks_validated > 0, "corpus produced no compiled blocks"
     assert report.mem_blocks > 0 and report.mram_blocks > 0, \
         "corpus missed one of the two namespaces"
     assert result["elision_findings"] == [], "elision audit found a hole"

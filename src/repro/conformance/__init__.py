@@ -1,7 +1,7 @@
 """MCONF: coverage-guided conformance campaign (independent decode oracle).
 
 The conformance subsystem is the verification backbone that lets the
-fast paths (superblock chaining, MPROF, MJIT tier 2) move quickly
+fast paths (superblock chaining, MPROF, MJIT) move quickly
 without silent corruption:
 
 * :mod:`repro.conformance.oracle` — a second, independently written

@@ -9,9 +9,10 @@ after every chunk of retired instructions:
 
 =========== ==========================================================
 interp      interpreter, no fast path at all (the reference)
-chained     predecoded superblocks + polymorphic chaining
-profiled    chained + the MPROF trace sink attached
-jit         chained + MJIT tier 2 at compile threshold 1
+chained     predecoded superblocks + polymorphic chaining, MJIT off:
+            every block runs the guarded per-entry loop
+profiled    chaining + MJIT + the MPROF trace sink attached
+jit         chaining + MJIT, every block compiled at first dispatch
 =========== ==========================================================
 
 Outcome classification (bit-reproducible, detection-first):
@@ -89,13 +90,10 @@ def build_variant(variant: str, config: GenConfig):
     machine = build_metal_machine(
         routines(config), engine="functional", with_caches=False,
         ram_bytes=RAM_BYTES, tcache=(variant != "interp"),
+        jit=(variant != "chained"),
     )
     if variant == "profiled":
         machine.set_profiling(True)
-    elif variant == "jit":
-        machine.set_tcache_jit(True)
-        # Compile on first dispatch so every seed exercises tier 2.
-        machine.sim.tcache.jit_threshold = 1
     return machine
 
 

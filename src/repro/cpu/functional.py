@@ -12,13 +12,15 @@ baseline), and WFI sleep.
 With the translation cache on, guest code and mroutines run through one
 block executor, :meth:`FunctionalSimulator._exec_block`, which differs
 between the two fetch namespaces only in fetch latency (paper §2.2).
-It has two loops: the batched fast loop (closure micro-ops or MJIT
-code, chained across blocks) and the guarded per-entry loop.  One
-eligibility rule picks between them from observable facts: no trace
-hook, a :class:`SimpleTimer`, a budget covering the block and, for
+It has two loops: the batched fast loop, which runs each block as its
+MJIT-compiled function (:mod:`repro.cpu.jit`) and chains across
+blocks, and the guarded per-entry loop.  One eligibility rule picks
+between them from observable facts: no trace hook, a
+:class:`SimpleTimer`, a budget covering the block and, for
 guest-memory blocks only, no I-cache, no pollable interrupt and no
-``stop_pc``.  Instructions kept out of the fast loop are counted per
-reason in ``perf.tcache.denied``.
+``stop_pc``; with MJIT switched off every block takes the guarded
+loop.  Instructions kept out of the fast loop are counted per reason
+in ``perf.tcache.denied``.
 """
 
 from __future__ import annotations
@@ -63,9 +65,8 @@ class SimpleTimer:
     def cost(self, step: StepInfo) -> int:
         """Cycles one retired instruction costs.
 
-        The model's only statement of its formula: :meth:`note`, the
-        engine's batched fast loop and MJIT's generic entries all charge
-        through it.
+        The model's only statement of its formula: :meth:`note` and
+        MJIT's generic entries both charge through it.
         """
         timing = self.timing
         fetch = step.fetch_latency
@@ -476,9 +477,10 @@ class FunctionalSimulator:
         a budget covering the block.  A mem block also needs no I-cache,
         no pollable interrupt and no *stop_pc*, since each of those
         observes every fetch; Metal mode samples no interrupts (§2.1),
-        fetches past the I-cache and ignores *stop_pc*.  Otherwise the
-        guarded per-entry loop runs, and its instructions are counted in
-        ``perf.tcache.denied`` under the first failing reason.
+        fetches past the I-cache and ignores *stop_pc*.  Otherwise, or
+        with MJIT off (``jit_off``), the guarded per-entry loop runs, and
+        its instructions are counted in ``perf.tcache.denied`` under the
+        first failing reason.
         """
         core = self.core
         timer = self.timer
@@ -524,120 +526,44 @@ class FunctionalSimulator:
             reason = "pipeline_timer"
         elif budget < len(block.entries):
             reason = "budget"
+        elif not tcache.jit:
+            reason = "jit_off"
         else:
             reason = None
-        f_sync, f_csr, f_term, f_store = F_SYNC, F_CSR, F_TERM, F_STORE
         retired = 0
         chained = 0
         trap = None
 
         if reason is None:
-            # Batched fast loop: the block's precompiled ``ops`` program
-            # is dispatched computed-goto style — plain entries run as
-            # pre-bound micro-ops with no flag tests, StepInfo or timing
-            # branches at all — and ``core.pc`` / ``core.instret`` /
-            # ``timer.cycles`` are published at sample points (CSR reads,
-            # syncs, traps, chain exit) instead of per entry.  Chainable
-            # exits (branch/jal/jalr, length-limit fall-through) follow
-            # the superblock link to the successor block without bouncing
-            # back to ``run()``.
-            cost = timer.cost
-            base_cost = latency if latency > 1 else 1
+            # Batched fast loop: each block runs as its MJIT-compiled
+            # function (repro.cpu.jit), compiled at the block's first
+            # dispatch here.  The compiled code publishes registers and
+            # ``timer.cycles`` itself at its sample points (CSR reads,
+            # syncs, traps, exit); ``core.pc`` and ``core.instret`` are
+            # published here.  Chainable exits (branch/jal/jalr,
+            # length-limit fall-through) follow the superblock link to
+            # the successor block without bouncing back to ``run()``.
             instret0 = core.instret
-            jit_on = tcache.jit
-            cyc = 0
             while True:
-                if jit_on:
-                    # Tier 2 (MJIT, repro.cpu.jit): dispatch the block's
-                    # compiled function when one exists, compiling it the
-                    # first time the block's heat crosses the threshold.
-                    # The compiled code manages timer.cycles itself, so
-                    # the pending batch is flushed around the call
-                    # (guest-invisible: cycles are only observed at sync
-                    # points, which flush everything anyway).
-                    jfn = block.jit_fn
-                    if jfn is None:
-                        heat = block.heat + 1
-                        block.heat = heat
-                        if heat >= tcache.jit_threshold:
-                            jfn = tcache.jit_compile(block)
-                    if jfn is not None:
-                        timer.cycles += cyc
-                        cyc = 0
-                        status, next_pc, jret, jloops, jtrap = jfn(
-                            core, block, timer, sync, budget - retired,
-                            instret0 + retired, chain_limit - chained)
-                        retired += jret
-                        stats.jit_instructions += jret
-                        if jloops:
-                            # Internalised self-loop iterations are chain
-                            # transitions the caller would have made.
-                            chained += jloops
-                            stats.chain_hits += jloops
-                            if chained > stats.chain_longest:
-                                stats.chain_longest = chained
-                        if status == 2:  # trap: regs spilled, cycles flushed
-                            trap = jtrap
-                        core.pc = next_pc
-                        if (status or not block.chainable
-                                or chained >= chain_limit):
-                            break  # status 1: invalidated mid-trace
-                        nxt = tcache.chain_next(block, next_pc, src)
-                        if (nxt is None
-                                or budget - retired < len(nxt.entries)):
-                            break
-                        chained += 1
-                        if chained > stats.chain_longest:
-                            stats.chain_longest = chained
-                        block = nxt
-                        continue
-                next_pc = block.end
-                stop = False
-                for seg in block.ops:
-                    if not seg[0]:  # OP_RUN: flag-free micro-op run
-                        _kind, uops, count, run_end = seg
-                        regs = core.regs
-                        for uop in uops:
-                            uop(regs)
-                        retired += count
-                        cyc += count * base_cost
-                        next_pc = run_end
-                        continue
-                    _kind, instr, pc, flags = seg
-                    if flags & f_sync:
-                        timer.cycles += cyc
-                        cyc = 0
-                        sync()
-                        if not block.valid:
-                            # Device DMA during the sync rewrote this
-                            # block's page: re-dispatch from here so the
-                            # new bytes are fetched (slow-path parity).
-                            next_pc = pc
-                            stop = True
-                            break
-                    if flags & f_csr:
-                        timer.cycles += cyc
-                        cyc = 0
-                        core._timer_cycles = timer.cycles
-                        core.instret = instret0 + retired
-                    try:
-                        step = execute(core, instr, pc, fetch_latency=latency)
-                    except TrapException as exc:
-                        trap = exc
-                        next_pc = pc
-                        stop = True
-                        break
-                    retired += 1
-                    cyc += cost(step)
-                    next_pc = step.next_pc
-                    if flags & f_store and not block.valid:
-                        # The store we just executed evicted this block
-                        # (self-modifying code): re-dispatch.
-                        stop = True
-                        break
+                jfn = block.jit_fn
+                if jfn is None:
+                    jfn = tcache.jit_compile(block)
+                status, next_pc, jret, jloops, jtrap = jfn(
+                    core, block, timer, sync, budget - retired,
+                    instret0 + retired, chain_limit - chained)
+                retired += jret
+                if jloops:
+                    # Internalised self-loop iterations are chain
+                    # transitions this loop would have made.
+                    chained += jloops
+                    stats.chain_hits += jloops
+                    if chained > stats.chain_longest:
+                        stats.chain_longest = chained
+                if status == 2:  # trap: regs spilled, cycles flushed
+                    trap = jtrap
                 core.pc = next_pc
-                if stop or not block.chainable or chained >= chain_limit:
-                    break
+                if status or not block.chainable or chained >= chain_limit:
+                    break  # status 1: invalidated mid-trace
                 nxt = tcache.chain_next(block, next_pc, src)
                 if nxt is None or budget - retired < len(nxt.entries):
                     break
@@ -646,7 +572,7 @@ class FunctionalSimulator:
                     stats.chain_longest = chained
                 block = nxt
             core.instret = instret0 + retired
-            timer.cycles += cyc
+            stats.jit_instructions += retired
         else:
             # Guarded per-entry loop: publishes pc, instret and cycles
             # after every instruction and re-checks the budget, stop_pc
@@ -655,6 +581,7 @@ class FunctionalSimulator:
             take_irq = self._maybe_take_interrupt
             note = timer.note
             trace = self.trace_fn
+            f_sync, f_csr, f_term = F_SYNC, F_CSR, F_TERM
             f_break = F_TERM | F_STORE
             while True:
                 stop = False

@@ -1,20 +1,16 @@
-"""MJIT: the tier-2 trace compiler (hot blocks → specialized Python).
+"""MJIT: the block compiler (predecoded blocks → specialized Python).
 
-The closure tier (:mod:`repro.cpu.tcache`) already removes fetch/decode
-work, but every retired instruction still pays a Python call — a
-micro-op closure or a full ``execute()`` dispatch — plus ``StepInfo``
-traffic and the inlined cost formula's branches for the non-plain
-entries.  MJIT removes that last layer for hot blocks: once a block's
-``heat`` (dispatches through the engine's batched fast loop) crosses
-``TranslationCache.jit_threshold``, the block is rendered as straight
-Python source and ``exec``-compiled once:
+The translation cache (:mod:`repro.cpu.tcache`) removes fetch/decode
+work; MJIT removes the per-entry dispatch that remains.  Every block
+the engine's batched fast loop dispatches is rendered as straight
+Python source at its first dispatch and ``exec``-compiled once:
 
 * guest registers used by the trace live in host locals, loaded from
   ``core.regs`` at entry and stored back at exit / any escape —
   a self-looping trace never touches the register file mid-flight;
 * decoded fields, immediates and ALU semantics are baked in as literal
-  expressions from the same micro-op IR (:func:`repro.cpu.tcache.uop_ir`)
-  the closure tier consumes, so the tiers cannot drift;
+  expressions from the micro-op IR (:func:`repro.cpu.tcache.uop_ir`)
+  that the MVTV reference also reads, so the two cannot drift;
 * the invalidation / budget / chain-quantum guards are hoisted out of
   the instruction stream: plain runs carry no per-entry tests at all,
   and a trace whose terminator targets its own head internalises the
@@ -24,6 +20,10 @@ Python source and ``exec``-compiled once:
   :meth:`SimpleTimer.cost` specialised per entry, and entries left to
   ``execute()`` charge ``timer.cost`` itself — MVTV and the
   differential fuzzer hold bit-identity on cycles, not just state.
+
+Every block compiles: an entry the codegen cannot inline (a CSR or
+SYSTEM op, a Metal transition, an unproven ``mld``/``mst``) stays a
+generic ``execute()`` call inside the compiled function.
 
 Both fetch namespaces compile through one code generator: an mram
 block differs only in its fetch latency (``timing.mram_fetch``) and in
@@ -55,14 +55,16 @@ Calling convention (both namespaces)::
 
 ``retired`` counts instructions retired inside the call and ``loops``
 the internalised self-loop iterations (chain transitions the caller
-credits to ``chain_hits``).  The caller must flush its pending cycle
-batch into ``timer.cycles`` before calling (the compiled code reads and
-writes ``timer.cycles`` directly) and passes ``instret_base`` so CSR
+credits to ``chain_hits``).  The compiled code reads and writes
+``timer.cycles`` directly; the caller passes ``instret_base`` so CSR
 reads inside the trace can latch an exact ``core.instret``.
 
-Failure is always graceful: :func:`compile_block` returns ``None`` for
-blocks not worth (or not safe) compiling, and the translation cache
-parks such blocks cold so the attempt happens exactly once.
+``compile()`` dominates the cost of compiling a block, so its code
+object is memoised process-wide, keyed by the generated source text:
+a fresh machine, a snapshot restore or ``reload_mroutines`` that meets
+the same code again pays only codegen and ``exec``.  The memo is
+bounded like the decode memo (:mod:`repro.isa.decoder`): it clears
+when it reaches :data:`_MEMO_LIMIT` entries.
 """
 
 from __future__ import annotations
@@ -74,8 +76,6 @@ from repro.cpu.exceptions import Cause, TrapException
 from repro.cpu.executor import _mem_width, execute
 from repro.cpu.tcache import (
     F_CSR,
-    F_STORE,
-    F_SYNC,
     F_TERM,
     IR_IMM,
     IR_NOP,
@@ -231,25 +231,22 @@ class _Codegen:
         self.emit(f"return (1, {resume_pc}, retired, loops, None)")
 
     # -- scan pass -------------------------------------------------------
-    def scan(self) -> bool:
-        """Classify every entry; returns False to decline the block."""
+    def scan(self) -> None:
+        """Classify every entry: the guest registers it touches, and
+        whether it can trap."""
         track = self.tracked
-        inlined = 0
         for instr, _op_fn, pc, flags, _hint in self.block.entries:
             cls = instr.spec.cls
             if flags & F_TERM:
                 if cls is InstrClass.BRANCH:
                     track.update((instr.rs1, instr.rs2))
                     self.timing_needs.add("_bt")
-                    inlined += 1
                 elif cls is InstrClass.JAL:
                     track.add(instr.rd)
                     self.timing_needs.add("_jp")
-                    inlined += 1
                 elif cls is InstrClass.JALR:
                     track.update((instr.rs1, instr.rd))
                     self.timing_needs.add("_jr")
-                    inlined += 1
                 else:
                     self.trapping = True
                 continue
@@ -263,23 +260,19 @@ class _Codegen:
                         track.update((rd, a, b))
                     elif kind == IR_SET:
                         track.add(rd)
-                    inlined += 1
                     continue
                 if cls is InstrClass.MULDIV:
                     track.update((instr.rd, instr.rs1, instr.rs2))
                     m = instr.mnemonic
                     self.timing_needs.add(
                         "_dx" if m.startswith(("div", "rem")) else "_mx")
-                    inlined += 1
                     continue
                 if cls is InstrClass.METAL and instr.mnemonic in _PLAIN_METAL:
                     m = instr.mnemonic
                     if m == "rmr":
                         track.add(instr.rd)
-                        inlined += 1
                     elif m == "wmr":
                         track.add(instr.rs1)
-                        inlined += 1
                     elif pc in self.proven:
                         # MAS-proven in-bounds mld/mst: raw data access.
                         self.trapping = True  # alignment check remains
@@ -287,7 +280,6 @@ class _Codegen:
                             track.update((instr.rs1, instr.rd))
                         else:
                             track.update((instr.rs1, instr.rs2))
-                        inlined += 1
                     else:
                         self.trapping = True
                     continue
@@ -296,20 +288,11 @@ class _Codegen:
             if cls is InstrClass.LOAD:
                 track.update((instr.rs1, instr.rd))
                 self.trapping = True
-                inlined += 1
                 continue
-            if cls is InstrClass.STORE:
-                track.update((instr.rs1, instr.rs2))
-                self.trapping = True
-                inlined += 1
-                continue
-            # A flagged non-terminator we cannot inline (should not occur
-            # in either namespace, but decline rather than guess).
-            return False
+            # STORE (F_SYNC | F_STORE)
+            track.update((instr.rs1, instr.rs2))
+            self.trapping = True
         track.discard(0)
-        # A block with nothing inlinable gains nothing over the closure
-        # tier; leave it there.
-        return inlined > 0
 
     # -- body emission ---------------------------------------------------
     def emit_entry(self, index: int, entry) -> None:
@@ -529,8 +512,7 @@ class _Codegen:
     def generate(self):
         block = self.block
         entries = block.entries
-        if not self.scan():
-            return None
+        self.scan()
         last = entries[-1]
         term_cls = last[0].spec.cls if last[3] & F_TERM else None
         # Internalise the loop only for exits that can actually target
@@ -623,20 +605,30 @@ class _Codegen:
         return "\n".join(self.lines) + "\n"
 
 
+#: Memo of ``compile()`` code objects, keyed by generated source text.
+_MEMO = {}
+_MEMO_LIMIT = 1 << 12
+
+
 def compile_block(block, proven_pcs=frozenset()):
-    """Tier-2 compile *block* (either namespace), or ``None`` to decline.
+    """Compile *block* (either namespace); returns ``(fn, memo_hit)``.
 
     *proven_pcs* are the code byte offsets of ``mld``/``mst`` sites the
     MAS interval pass proved in-bounds (``MetalImage.proven_data_pcs``);
     those sites compile to raw data-segment accesses, all others keep
-    the guarded ``execute()`` dispatch.
+    the guarded ``execute()`` dispatch.  *memo_hit* says whether the
+    code object came from the process-wide memo.
     """
     gen = _Codegen(block, proven_pcs)
     source = gen.generate()
-    if source is None:
-        return None
-    code = compile(source, f"<mjit:{block.ns}:{block.start:#x}>", "exec")
+    code = _MEMO.get(source)
+    memo_hit = code is not None
+    if not memo_hit:
+        code = compile(source, f"<mjit:{block.ns}:{block.start:#x}>", "exec")
+        if len(_MEMO) >= _MEMO_LIMIT:
+            _MEMO.clear()
+        _MEMO[source] = code
     exec(code, gen.ns)
     fn = gen.ns["_jit"]
     fn.__jit_source__ = source
-    return fn
+    return fn, memo_hit

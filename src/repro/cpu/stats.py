@@ -15,13 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 #: Why instructions were kept out of the engine's batched fast loop, in
-#: the order the engine tests them.  The first six are the block
-#: executor's eligibility rule (the guarded per-entry loop ran); the
-#: last four are ``_fast_step``'s fall-backs to one-at-a-time ``step()``.
+#: the order the engine tests them.  The first seven are the block
+#: executor's eligibility rule (the guarded per-entry loop ran;
+#: ``jit_off`` means the block was eligible but MJIT is switched off);
+#: the last four are ``_fast_step``'s fall-backs to one-at-a-time
+#: ``step()``.
 DENIAL_REASONS = ("icache", "irq_poll", "stop_pc", "trace_hook",
-                  "pipeline_timer", "budget", "tlb", "intercept",
-                  "waiting", "no_block")
-GUARDED_REASONS = DENIAL_REASONS[:6]
+                  "pipeline_timer", "budget", "jit_off", "tlb",
+                  "intercept", "waiting", "no_block")
+GUARDED_REASONS = DENIAL_REASONS[:7]
 
 @dataclass
 class TcacheStats:
@@ -57,11 +59,15 @@ class TcacheStats:
     preformed_blocks: int = 0
     #: Chain links installed ahead of execution by preformation.
     preformed_links: int = 0
-    #: Blocks compiled to tier 2 by MJIT (repro.cpu.jit).
+    #: Blocks compiled by MJIT (repro.cpu.jit).
     jit_blocks: int = 0
+    #: MJIT compiles whose code object came from the process-wide memo
+    #: (only codegen and ``exec`` paid, no ``compile()``).
+    jit_memo_hits: int = 0
     #: Guest instructions retired through MJIT-compiled code.
     jit_instructions: int = 0
-    #: Host milliseconds spent inside the MJIT compiler (codegen + exec).
+    #: Host milliseconds spent inside the MJIT compiler (codegen,
+    #: ``compile()`` on a memo miss, and ``exec``).
     jit_compile_ms: float = 0.0
     #: Instructions denied the batched fast loop, keyed by the first
     #: failing reason (:data:`DENIAL_REASONS`).
@@ -94,7 +100,7 @@ class TcacheStats:
 
     @property
     def jit_dispatch_share(self) -> float:
-        """Fraction of fast-path instructions retired through tier 2."""
+        """Fraction of block-path instructions retired through MJIT."""
         total = self.fast_instructions
         return self.jit_instructions / total if total else 0.0
 
@@ -144,8 +150,9 @@ class PerfCounters:
             f"tcache preformed   : {tc.preformed_blocks} blocks, "
             f"{tc.preformed_links} links ahead of execution",
             f"tcache jit (MJIT)  : {tc.jit_blocks} blocks compiled "
-            f"({tc.jit_compile_ms:.2f} ms), {tc.jit_instructions} instrs "
-            f"via tier 2 ({tc.jit_dispatch_share:.1%} of fast path)",
+            f"({tc.jit_memo_hits} memo hits, {tc.jit_compile_ms:.2f} ms), "
+            f"{tc.jit_instructions} instrs compiled "
+            f"({tc.jit_dispatch_share:.1%} of block path)",
             f"fast-path instrs   : {tc.fast_instructions} "
             f"({self.slow_instructions} slow)",
             "fast-loop denials  : " + (", ".join(

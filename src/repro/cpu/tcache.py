@@ -12,34 +12,29 @@ architectural-feature instruction that could change an invariant blocks
 are compiled under.  ``op_fn`` is :func:`repro.cpu.executor.execute` —
 semantics stay single-sourced; only the fetch/decode/probe work is cached.
 
-On top of the entry list each block carries two build-time artifacts:
-
-* ``ops`` — a computed-goto-style dispatch program.  Runs of *plain*
-  entries (ALU, LUI/AUIPC, FENCE — no traps, no memory, no control, unit
-  base cost) are folded into tuples of micro-op closures specialised per
-  instruction at compile time; only entries that can sync devices, trap,
-  or terminate the block remain full ``execute()`` dispatches.  The
-  functional engine's batched fast loop runs ``ops`` with no per-entry
-  flag tests at all, in either namespace.
-* ``link``/``link_pc``/``links`` — the **superblock chain**: after a
-  block exits through a pure control-flow terminator (branch/jal/jalr,
-  or the fall-through of a length-limited block) the engine links it to
-  the successor block and on later dispatches follows the link directly,
-  never returning to the dispatch loop.  The chain slot is a small LRU
-  **target map** (an MRU ``link``/``link_pc`` pair plus up to three
-  secondary ``links`` entries), so indirect jumps and data-dependent
-  branches that alternate between a few targets keep all of them linked
-  instead of relinking on every flip.  A link is followed only when the
-  observed ``next_pc`` matches a map entry *and* that successor is
-  still valid, so evictions sever chains instead of executing stale
-  code.  Only branch/jal/jalr terminators are chainable: every other
-  terminator (CSR, SYSTEM, Metal transitions, architectural-feature
-  instructions) can move an invariant the chain was built under
-  (interrupt enables, translation, interception, halt/wfi), so those
-  always return to the dispatcher.
+Each block is run by MJIT-compiled code (:mod:`repro.cpu.jit`), built
+at the block's first dispatch through the engine's batched fast loop,
+or by the engine's guarded per-entry loop over the entry list.  On top
+of the entry list each block carries its **superblock chain**,
+``link``/``link_pc``/``links``: after a block exits through a pure
+control-flow terminator (branch/jal/jalr, or the fall-through of a
+length-limited block) the engine links it to the successor block and
+on later dispatches follows the link directly, never returning to the
+dispatch loop.  The chain slot is a small LRU
+**target map** (an MRU ``link``/``link_pc`` pair plus up to three
+secondary ``links`` entries), so indirect jumps and data-dependent
+branches that alternate between a few targets keep all of them linked
+instead of relinking on every flip.  A link is followed only when the
+observed ``next_pc`` matches a map entry *and* that successor is
+still valid, so evictions sever chains instead of executing stale
+code.  Only branch/jal/jalr terminators are chainable: every other
+terminator (CSR, SYSTEM, Metal transitions, architectural-feature
+instructions) can move an invariant the chain was built under
+(interrupt enables, translation, interception, halt/wfi), so those
+always return to the dispatcher.
 
 Two block namespaces, one per fetch source, share one compiler, one
-chainer and one tier-2 entry point; each block records its namespace in
+chainer and one MJIT entry point; each block records its namespace in
 ``Block.ns``:
 
 * ``mem`` — normal-mode code fetched from main memory.  Blocks are valid
@@ -80,7 +75,6 @@ from time import perf_counter
 from typing import Optional
 
 from repro.errors import BusError, DecodeError, MramError
-from repro.cpu import alu
 from repro.cpu.executor import execute
 from repro.isa.decoder import decode
 from repro.isa.instruction import InstrClass
@@ -127,18 +121,12 @@ _CHAIN_CLASSES = frozenset((
 #: monomorphic slot thrashed on without growing every block.
 LINKS_MAX = 4
 
-#: Heat sentinel for blocks MJIT declined to compile: far enough below
-#: zero that the per-dispatch increment can never climb back over any
-#: plausible threshold, so the compile attempt happens exactly once.
-_JIT_COLD = -(1 << 62)
-
 
 class Block:
     """One predecoded basic block (plus its superblock chain links)."""
 
-    __slots__ = ("ns", "start", "end", "entries", "ops", "valid",
-                 "chainable", "link", "link_pc", "links",
-                 "heat", "jit_fn")
+    __slots__ = ("ns", "start", "end", "entries", "valid",
+                 "chainable", "link", "link_pc", "links", "jit_fn")
 
     def __init__(self, ns: str, start: int, end: int, entries,
                  chainable: bool = False, link_pc: Optional[int] = None):
@@ -146,17 +134,11 @@ class Block:
         self.start = start
         self.end = end            # byte address just past the last entry
         self.entries = entries    # list of (instr, op_fn, pc, flags, hint)
-        self.ops = _build_ops(entries, end)
         self.valid = True
-        #: Tier-2 hotness: dispatches of this block through the engine's
-        #: batched fast loop (the same transitions the hit/chain-hit stats
-        #: count).  Crossing ``TranslationCache.jit_threshold`` triggers
-        #: MJIT compilation; a rejected compile parks it at ``_JIT_COLD``
-        #: so the threshold test never re-fires.
-        self.heat = 0
-        #: MJIT-compiled function for this block (tier 2), or None while
-        #: the block is cold.  Every eviction path that clears ``valid``
-        #: also drops this, exactly as it severs chain links.
+        #: MJIT-compiled function for this block, or None until its
+        #: first dispatch through the batched fast loop.  Every eviction
+        #: path that clears ``valid`` also drops this, exactly as it
+        #: severs chain links.
         self.jit_fn = None
         #: Whether the block's exit is eligible for chaining (branch/jal/
         #: jalr terminator, or the fall-through of a length-limited block).
@@ -219,14 +201,11 @@ def _static_hint(instr, pc: int) -> int:
     return (pc + 4) & 0xFFFFFFFF
 
 
-def _noop_uop(regs):
-    return None
-
-
-#: Micro-op IR kinds (first element of a :func:`uop_ir` tuple).  Both
-#: execution tiers consume this IR — the closure builder below and the
-#: MJIT codegen in :mod:`repro.cpu.jit` — so which entries are "plain",
-#: and with what operands and baked constants, is decided exactly once.
+#: Micro-op IR kinds (first element of a :func:`uop_ir` tuple).  The
+#: MJIT codegen (:mod:`repro.cpu.jit`) and the MVTV reference
+#: (:mod:`repro.verify.uopsem`) both consume this IR, so which entries
+#: are "plain", and with what operands and baked constants, is decided
+#: exactly once.
 IR_NOP = 0   #: (IR_NOP, 0, 0, 0, None) — fence, or a dead rd==x0 write
 IR_IMM = 1   #: (IR_IMM, rd, rs1, imm, mnemonic) — reg-imm ALU op
 IR_REG = 2   #: (IR_REG, rd, rs1, rs2, mnemonic) — reg-reg ALU op
@@ -236,13 +215,12 @@ IR_SET = 3   #: (IR_SET, rd, value, 0, None) — lui/auipc constant, folded
 def uop_ir(instr, pc: int):
     """Shared micro-op IR for a *plain* unit-cost entry, or ``None``.
 
-    The IR is the single source of truth for both tiers: the closure
-    tier binds it into per-instruction ``uop(regs)`` callables
-    (:func:`_uop_from_ir`) and MJIT renders it as Python source
-    (``repro.cpu.jit``), so the tiers cannot drift on which entries are
-    inlinable or what operands/constants they use.  Only entries that
-    can never trap, never touch memory/devices, never redirect control
-    and always cost the base fetch cycle qualify.
+    MJIT renders it as Python source (``repro.cpu.jit``) and the MVTV
+    reference reads it back (``repro.verify.uopsem``), so the compiler
+    and its validator cannot drift on which entries are inlinable or
+    what operands/constants they use.  Only entries that can never
+    trap, never touch memory/devices, never redirect control and always
+    cost the base fetch cycle qualify.
     """
     cls = instr.spec.cls
     rd = instr.rd
@@ -265,71 +243,6 @@ def uop_ir(instr, pc: int):
     if cls is InstrClass.FENCE:
         return (IR_NOP, 0, 0, 0, None)
     return None
-
-
-def _uop_from_ir(ir):
-    """Closure-tier rendering of one :func:`uop_ir` tuple."""
-    kind, rd, a, b, mnemonic = ir
-    if kind == IR_NOP:
-        return _noop_uop
-    if kind == IR_IMM:
-        op = alu.IMM_OPS[mnemonic]
-
-        def uop(regs, rd=rd, rs1=a, imm=b, op=op):
-            regs[rd] = op(regs[rs1], imm)
-        return uop
-    if kind == IR_REG:
-        op = alu.REG_OPS[mnemonic]
-
-        def uop(regs, rd=rd, rs1=a, rs2=b, op=op):
-            regs[rd] = op(regs[rs1], regs[rs2])
-        return uop
-
-    def uop(regs, rd=rd, value=a):  # IR_SET
-        regs[rd] = value
-    return uop
-
-
-def _make_uop(instr, pc: int):
-    """Micro-op closure for a *plain* entry, or ``None``.
-
-    A micro-op is the computed-goto-style replacement for the generic
-    ``execute()`` dispatch: the operand registers, immediate and ALU
-    callable are bound at block-build time, so the fast loop just calls
-    ``uop(regs)`` — no flag tests, no class dispatch, no StepInfo.
-    """
-    ir = uop_ir(instr, pc)
-    return _uop_from_ir(ir) if ir is not None else None
-
-
-#: ``ops`` segment kinds (first tuple element).
-OP_RUN = 0   #: (OP_RUN, uops, count, end_pc) — flag-free micro-op run
-OP_EXEC = 1  #: (OP_EXEC, instr, pc, flags) — full execute() dispatch
-
-
-def _build_ops(entries, end: int):
-    """Fold *entries* into the block's computed-goto dispatch program.
-
-    Consecutive plain entries (``flags == 0`` with a micro-op available)
-    become one ``OP_RUN`` segment — a tuple of pre-bound closures plus the
-    pc following the run (for publishing ``core.pc`` without a StepInfo).
-    MULDIV and plain-METAL entries have data-dependent or non-unit cycle
-    costs, so they stay ``OP_EXEC`` even though their flags are zero.
-    """
-    ops = []
-    run = []
-    for instr, _op_fn, pc, flags, _hint in entries:
-        uop = _make_uop(instr, pc) if not flags else None
-        if uop is not None:
-            run.append(uop)
-            continue
-        if run:
-            ops.append((OP_RUN, tuple(run), len(run), pc))
-            run = []
-        ops.append((OP_EXEC, instr, pc, flags))
-    if run:
-        ops.append((OP_RUN, tuple(run), len(run), end))
-    return ops
 
 
 def _chain_shape(entries, end: int, terminated: bool):
@@ -359,16 +272,11 @@ class TranslationCache:
         #: reported for the exported timeline; ``None`` costs nothing on
         #: the hot paths (checked only on the cold branches).
         self.sink = None
-        #: MJIT tier-2 toggle (host-side, guest-invisible).  With it on,
-        #: blocks whose ``heat`` crosses :attr:`jit_threshold` are
-        #: compiled to specialized Python (repro.cpu.jit) and dispatched
-        #: in preference to the closure path.
-        self.jit = False
-        #: Dispatches through the fast loop a block must see before
-        #: MJIT compiles it.  Low by design: compilation is a few hundred
-        #: microseconds, and a block hot enough to reach the fast loop
-        #: twice is overwhelmingly a loop body.
-        self.jit_threshold = 16
+        #: MJIT toggle (host-side, guest-invisible).  On, every block
+        #: is compiled to specialized Python (repro.cpu.jit) at its first
+        #: dispatch through the engine's batched fast loop; off, the
+        #: engine runs every block through its guarded per-entry loop.
+        self.jit = True
         self._mem = {}          # start pc -> Block
         self._mem_pages = {}    # page number -> set of start pcs
         self._mram = {}         # start offset -> Block
@@ -469,36 +377,33 @@ class TranslationCache:
         return block
 
     # ------------------------------------------------------------------
-    # MJIT tier 2 (repro.cpu.jit)
+    # MJIT (repro.cpu.jit)
     # ------------------------------------------------------------------
     def jit_compile(self, block):
-        """Compile *block* to tier 2, or park it cold.
+        """Compile *block* with MJIT and return the compiled function
+        (also cached on ``block.jit_fn``).
 
-        Called by the engine's fast loop once ``block.heat`` crosses
-        :attr:`jit_threshold`.  Returns the compiled function (also
-        cached on ``block.jit_fn``) or ``None`` when the codegen declined
-        the block — then ``heat`` is parked at the cold sentinel so the
-        attempt is never repeated.  An mram block is compiled with the
-        interval pass's proven in-bounds site pcs, so the codegen elides
-        the runtime bounds guard at exactly the accesses MAS licensed.
+        Called by the engine's fast loop at the block's first dispatch.
+        An mram block is compiled with the interval pass's proven
+        in-bounds site pcs, so the codegen elides the runtime bounds
+        guard at exactly the accesses MAS licensed.
         """
         from repro.cpu import jit as mjit
         t0 = perf_counter()
-        fn = mjit.compile_block(
+        fn, memo_hit = mjit.compile_block(
             block, self._proven_pcs if block.ns == "mram" else frozenset())
-        self.stats.jit_compile_ms += (perf_counter() - t0) * 1e3
-        if fn is None:
-            block.heat = _JIT_COLD
-            return None
+        stats = self.stats
+        stats.jit_compile_ms += (perf_counter() - t0) * 1e3
+        stats.jit_blocks += 1
+        stats.jit_memo_hits += memo_hit
         block.jit_fn = fn
-        self.stats.jit_blocks += 1
         if self.sink is not None:
             self.sink.tcache_event("jit_compile", block.ns, block.start,
                                    len(block.entries))
         return fn
 
     def iter_jit_blocks(self):
-        """Yield ``(ns, block)`` for every live tier-2 block.
+        """Yield ``(ns, block)`` for every live compiled block.
 
         The MVTV translation validator (``repro.verify``) harvests the
         corpus through this: every block MJIT has compiled and not since
@@ -518,15 +423,16 @@ class TranslationCache:
         return self._proven_pcs
 
     def tier_of(self, ns: str, pc: int):
-        """Execution tier of the cached block headed at *pc*: ``"jit"``,
-        ``"closure"``, or ``None`` when nothing is cached there.  Used
-        by the MPROF hot-trace report to label traces with the tier
-        that executed them."""
+        """Execution tier of the cached block headed at *pc*: ``"jit"``
+        once MJIT has compiled it, ``"guarded"`` while only the guarded
+        per-entry loop has run it, or ``None`` when nothing is cached
+        there.  Used by the MPROF hot-trace report to label traces with
+        the tier that executed them."""
         table = self._mem if ns == "mem" else self._mram
         block = table.get(pc)
         if block is None or not block.valid:
             return None
-        return "jit" if block.jit_fn is not None else "closure"
+        return "jit" if block.jit_fn is not None else "guarded"
 
     # ------------------------------------------------------------------
     # superblock chaining
@@ -657,13 +563,10 @@ class TranslationCache:
                 block.link = succ
                 links += 1
         if self.jit:
-            # Warm tier 2 along with the closures: the preformation plan
-            # is loop-heads-first (repro.profile.preform), exactly the
-            # blocks that would cross the hotness threshold within their
-            # first delivery anyway — compiling them here means the very
-            # first menter runs at steady-state speed.
+            # Compile the planned blocks now rather than at their first
+            # dispatch, so the very first menter runs compiled code.
             for block in blocks:
-                if block.jit_fn is None and block.heat > _JIT_COLD:
+                if block.jit_fn is None:
                     self.jit_compile(block)
         self.stats.preformed_blocks += compiled
         self.stats.preformed_links += links

@@ -93,10 +93,11 @@ class MachineConfig:
     #: time (profile-guided when a profile is replayed later; see
     #: repro.profile.preform).  Guest-invisible, like the tcache itself.
     preform: bool = False
-    #: MJIT tier-2 compilation of hot blocks (repro.cpu.jit).
-    #: Guest-invisible; with ``preform`` also on, the planned loop heads
-    #: are tier-2 compiled at build time too.
-    jit: bool = False
+    #: MJIT compilation of every fast-loop block (repro.cpu.jit).
+    #: Guest-invisible; off, every block runs the engine's guarded
+    #: per-entry loop.  With ``preform`` also on, the planned loop heads
+    #: are compiled at build time.
+    jit: bool = True
     extra_symbols: dict = field(default_factory=dict)
 
 
@@ -140,8 +141,7 @@ def _base_machine(config: MachineConfig, metal_unit, name: str) -> Machine:
         sim = FunctionalSimulator(core, tcache=config.tcache)
     else:
         raise ValueError(f"unknown engine {config.engine!r}")
-    if config.jit:
-        sim.tcache.jit = True
+    sim.tcache.jit = config.jit
 
     symbols = {}
     symbols.update(CAUSE_SYMBOLS)

@@ -159,10 +159,10 @@ class Machine:
         self.sim.tcache_enabled = enabled
 
     def set_tcache_jit(self, enabled: bool) -> None:
-        """Toggle the MJIT tier-2 compiler (guest-invisible; see
-        repro.cpu.jit).  Flushes compiled blocks so heat counters and
-        compiled code restart from a clean slate — disabling drops every
-        tier-2 function along with the blocks that held them."""
+        """Toggle the MJIT compiler (guest-invisible; see
+        repro.cpu.jit).  Off, every block runs the engine's guarded
+        per-entry loop.  Flushes compiled blocks, so disabling drops
+        every compiled function along with the blocks that held it."""
         self.sim.tcache.jit = bool(enabled)
         self.sim.tcache.flush_all()
 

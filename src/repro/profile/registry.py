@@ -59,8 +59,8 @@ class TraceAttribution:
     #: back edge — i.e. the trace is (the body of) a static loop.
     loop: bool = False
     #: Execution tier of the block currently cached at the head pc:
-    #: ``"jit"`` (MJIT tier 2), ``"closure"`` (predecoded uop closures),
-    #: or None when nothing is cached there any more (evicted, or the
+    #: ``"jit"`` (MJIT-compiled), ``"guarded"`` (only the guarded
+    #: per-entry loop has run it), or None when nothing is cached there any more (evicted, or the
     #: machine runs without a tcache).
     tier: Optional[str] = None
 

@@ -23,7 +23,7 @@ Observability: every shard response carries the
 The fleet accumulates one running snapshot per shard and merges them
 with :meth:`Snapshot.merge` — shard-id namespacing, no key collisions —
 into the fleet snapshot ``/metrics`` serves: aggregate MIPS,
-machines-per-second, per-workload tier-2 dispatch share, queue depth
+machines-per-second, per-workload MJIT dispatch share, queue depth
 and request latency percentiles.
 """
 

@@ -3,8 +3,8 @@
 The corpus is the MCONF generator's program space (the same seed
 derivation the conformance campaign uses: program ``seed`` maps to
 ``random.Random(PROGRAM_SEED_BASE + seed)``), executed on the
-campaign's ``jit`` variant — ``jit_threshold=1`` so every warm block is
-tier-2 compiled.  After each program runs, every surviving compiled
+campaign's ``jit`` variant, which compiles every block at its first
+dispatch.  After each program runs, every surviving compiled
 block is harvested from the translation cache and handed to
 :func:`repro.verify.translate.validate_block`.
 

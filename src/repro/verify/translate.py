@@ -1,6 +1,6 @@
 """Translation validation: reference vs candidate summary comparison.
 
-:func:`validate_block` proves one tier-2 block correct by construction
+:func:`validate_block` proves one compiled block correct by construction
 comparison: the reference summary (from the micro-op IR,
 :mod:`repro.verify.uopsem`) and the candidate summary (from the
 generated source, :mod:`repro.verify.pysym`) are built in the same
@@ -120,8 +120,8 @@ def validate_block(ns_label: str, block, proven_pcs=frozenset()):
         ref = reference_summary(block, ns_label, proven_pcs)
     except UnsupportedBlock as exc:
         findings.append(Finding(
-            PASS, where, "block shape outside the reference model "
-            "(MJIT should have declined it)", str(exc)))
+            PASS, where, "block shape outside the reference model",
+            str(exc)))
         return findings
     try:
         cand = candidate_summary(source)

@@ -4,7 +4,7 @@ This module is the *semantic reference* side of the translation
 validator: it walks a compiled block's decoded entries — the same
 ``(instr, op_fn, pc, flags, hint)`` tuples and :func:`uop_ir` results
 both execution tiers consume — and builds a :class:`Summary` of what a
-correct tier-2 compilation must do, using an independent transcription
+correct MJIT compilation must do, using an independent transcription
 of the ISA semantics (``docs/ISA.md``), the :class:`SimpleTimer` cost
 model and the MJIT calling convention.  It never looks at the generated
 Python source; :mod:`repro.verify.pysym` summarises that independently
@@ -673,7 +673,7 @@ class _Ref:
 
 
 def reference_summary(block, ns: str, proven_pcs=frozenset()) -> Summary:
-    """The summary a correct tier-2 compilation of *block* must have.
+    """The summary a correct MJIT compilation of *block* must have.
 
     *ns* is ``"mem"`` or ``"mram"``; *proven_pcs* are the MAS-proven
     in-bounds ``mld``/``mst`` site pcs the codegen was licensed to

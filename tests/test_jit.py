@@ -1,11 +1,13 @@
-"""MJIT tier-2 compiler tests (:mod:`repro.cpu.jit`).
+"""MJIT compiler tests (:mod:`repro.cpu.jit`).
 
-The closure tier (tcache) is covered by the differential fuzzer and the
-tcache tests; this file pins the *compiler*: the exact Python source
-generated for a known block (golden snapshot), guard elision engaging
-only at MAS-proven access sites, every eviction path dropping compiled
-code, and the toggle/config/preformation wiring.  Bit-identity of tier-2
-execution against the interpreter is fuzzed in
+The guarded loop and chaining are covered by the differential fuzzer
+and the tcache tests; this file pins the *compiler*: the exact Python
+source generated for a known block (golden snapshot), guard elision
+engaging only at MAS-proven access sites, every block compiling
+(including ones with no inlinable entry), the process-wide code memo,
+every eviction path dropping compiled code, and the
+toggle/config/preformation wiring.  Bit-identity of compiled execution
+against the interpreter is fuzzed in
 ``tests/test_superblock_differential.py`` (the fourth lockstep machine).
 """
 
@@ -13,8 +15,11 @@ from __future__ import annotations
 
 import textwrap
 
-from repro import MRoutine, build_metal_machine
+from repro import MRoutine, build_metal_machine, build_trap_machine
+from repro.cpu import jit as mjit
 from repro.machine.builder import MachineConfig
+from repro.profile.workloads import WORKLOADS, workload_source
+from repro.verify.translate import validate_block
 
 CODE_BASE = 0x1000
 
@@ -60,13 +65,10 @@ loop:
 """
 
 
-def _machine(routines=(), jit=True, threshold=1, **cfg):
-    machine = build_metal_machine(
+def _machine(routines=(), jit=True, **cfg):
+    return build_metal_machine(
         list(routines),
         config=MachineConfig(with_caches=False, jit=jit, **cfg))
-    if jit and threshold is not None:
-        machine.sim.tcache.jit_threshold = threshold
-    return machine
 
 
 def _jit_sources(machine, ns="mram"):
@@ -123,7 +125,7 @@ def test_golden_source_self_loop():
     m.load_and_run(LOOP, base=CODE_BASE)
     assert m.reg("t1") == 50
     block = m.sim.tcache._mem[CODE_BASE + 8]
-    assert block.jit_fn is not None, "hot loop block was not tier-2 compiled"
+    assert block.jit_fn is not None, "hot loop block was not MJIT-compiled"
     assert block.jit_fn.__jit_source__.rstrip() == GOLDEN_LOOP_BLOCK
 
 
@@ -149,7 +151,7 @@ def test_guard_elision_with_proven_facts():
     r = m.load_and_run(MENTER_LOOP, base=CODE_BASE)
     assert r.instructions > 0
     sources = _jit_sources(m)
-    assert sources, "no mram block was tier-2 compiled"
+    assert sources, "no mram block was MJIT-compiled"
     body = "\n".join(sources.values())
     assert "_upk(data" in body and "_pk(data" in body, (
         "proven accesses were not elided to direct array access")
@@ -163,7 +165,7 @@ def test_guard_elision_requires_facts():
     assert not m.metal_image.analysis["idx"].facts.proven_access_words
     m.load_and_run(MENTER_LOOP, base=CODE_BASE)
     sources = _jit_sources(m)
-    assert sources, "no mram block was tier-2 compiled"
+    assert sources, "no mram block was MJIT-compiled"
     body = "\n".join(sources.values())
     assert "_upk(data" not in body and "_pk(data" not in body
     assert "execute(core" in body
@@ -218,11 +220,11 @@ def test_toggle_off_drops_compiled_code():
 # wiring: config, counters, preformation
 # ---------------------------------------------------------------------------
 def test_machineconfig_and_toggle_wiring():
-    assert build_metal_machine([]).sim.tcache.jit is False
-    m = build_metal_machine([], config=MachineConfig(jit=True))
-    assert m.sim.tcache.jit is True
-    m.set_tcache_jit(False)
+    assert build_metal_machine([]).sim.tcache.jit is True
+    m = build_metal_machine([], config=MachineConfig(jit=False))
     assert m.sim.tcache.jit is False
+    m.set_tcache_jit(True)
+    assert m.sim.tcache.jit is True
 
 
 def test_jit_counters_in_perf_summary():
@@ -238,7 +240,7 @@ def test_jit_counters_in_perf_summary():
 
 def test_toggle_parity_mixed_workload():
     """Same mixed program (ALU loop + menter + RAM loads/stores), jit on
-    vs off: guest results identical, tier 2 actually engaged."""
+    vs off: guest results identical, MJIT actually engaged."""
     source = """
 _start:
     li s1, 0x3000
@@ -264,9 +266,8 @@ loop:
 
 
 def test_preform_warms_tier_two():
-    """``preform`` + ``jit`` compiles the planned loop heads to tier 2
-    at build time: the very first delivery runs through compiled code
-    (no warmup iterations needed)."""
+    """``preform`` + ``jit`` compiles the planned loop heads at build
+    time, before their first dispatch."""
     spin = MRoutine(name="spin", entry=1, source="""
         li   t0, 24
     spin_loop:
@@ -275,12 +276,112 @@ def test_preform_warms_tier_two():
         bnez t0, spin_loop
         mexit
     """)
-    m = _machine([spin], threshold=None, preform=True)
-    m.sim.tcache.jit_threshold = 16          # dynamic heat never reaches it
+    m = _machine([spin], preform=True)
     tc = m.perf.tcache
     assert tc.preformed_blocks > 0, "preformation compiled no blocks"
     warmed = tc.jit_blocks
-    assert warmed > 0, "preformation did not warm tier 2"
+    assert warmed > 0, "preformation did not warm MJIT"
     m.load_and_run("_start:\n    menter 1\n    halt\n", base=CODE_BASE)
     assert tc.jit_instructions > 0, (
-        "first delivery did not execute through tier 2")
+        "first delivery did not execute through MJIT code")
+
+
+# ---------------------------------------------------------------------------
+# one compiled tier: every fast-loop block compiles
+# ---------------------------------------------------------------------------
+def test_default_machine_runs_fast_loop_only_as_compiled_code():
+    """On the default machine (caches on) guest code is guarded by the
+    I-cache, and every MRAM instruction of ``mcode_heavy``'s spin
+    routine that takes the fast loop runs as MJIT code."""
+    workload = WORKLOADS["mcode_heavy"]
+    m = build_metal_machine(list(workload.routines))
+    m.load_and_run(workload_source("mcode_heavy", 50))
+    tc = m.perf.tcache
+    assert tc.fast_loop_instructions > 0
+    assert tc.jit_instructions == tc.fast_loop_instructions
+    assert tc.denied["jit_off"] == 0
+
+
+def _run_state(machine, source):
+    r = machine.load_and_run(source, base=CODE_BASE)
+    mram = machine.core.metal.mram.data if machine.core.metal else b""
+    return (r.instructions, r.cycles, list(machine.core.regs),
+            bytes(machine.ram.data), bytes(mram))
+
+
+CSR_LOOP = """
+_start:
+    li s0, 5
+loop:
+    csrrs t1, CSR_CYCLE, zero
+    csrrs t2, CSR_INSTRET, zero
+    addi s0, s0, -1
+    bnez s0, loop
+    halt
+"""
+
+
+def test_blocks_without_inlinable_entries_compile():
+    """A block whose only entry is a generic ``execute()`` call — an
+    MRAM block holding just ``mexit``, a guest block holding just a CSR
+    read — compiles, runs bit-identically to the interpreter and passes
+    translation validation."""
+    noop = MRoutine(name="noop", entry=1, source="mexit\n")
+    cases = (
+        (build_metal_machine, [noop], MENTER_LOOP, ("mram", "mexit")),
+        (build_trap_machine, None, CSR_LOOP, ("mem", "csrrs")),
+    )
+    for build, routines, source, single in cases:
+        args = () if routines is None else (routines,)
+        ref = build(*args, config=MachineConfig(with_caches=False,
+                                                tcache=False))
+        m = build(*args, config=MachineConfig(with_caches=False))
+        assert _run_state(m, source) == _run_state(ref, source)
+        blocks = [(ns, block) for ns, block in m.sim.tcache.iter_jit_blocks()
+                  if (ns, block.entries[0][0].mnemonic) == single
+                  and len(block.entries) == 1]
+        assert blocks, f"no single-entry {single} block compiled"
+        proven = m.sim.tcache.proven_pcs
+        for ns, block in blocks:
+            assert "execute(core" in block.jit_fn.__jit_source__
+            assert validate_block(
+                ns, block, proven if ns == "mram" else frozenset()) == []
+
+
+def test_fresh_machine_compiles_from_memo():
+    """A second fresh machine running the same program takes every
+    block's code object from the memo and computes the same result."""
+    mjit._MEMO.clear()
+    first = _machine([ACC])
+    state = _run_state(first, MENTER_LOOP)
+    second = _machine([ACC])
+    assert _run_state(second, MENTER_LOOP) == state
+    tc = second.perf.tcache
+    assert tc.jit_blocks > 0
+    assert tc.jit_memo_hits == tc.jit_blocks
+    assert "memo hits" in second.perf.summary()
+    counters = second.metrics().snapshot().counters
+    assert counters["jit_memo_hits"] == tc.jit_blocks
+
+
+def test_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(mjit, "_MEMO", {})
+    monkeypatch.setattr(mjit, "_MEMO_LIMIT", 3)
+    compiled = 0
+    for source in (LOOP, CSR_LOOP, workload_source("hash_mix", 20)):
+        m = build_trap_machine(with_caches=False)
+        m.load_and_run(source, base=CODE_BASE)
+        compiled += m.perf.tcache.jit_blocks - m.perf.tcache.jit_memo_hits
+        assert 0 < len(mjit._MEMO) <= 3
+    assert compiled > 3
+
+
+def test_jit_off_blocks_counted_as_denied():
+    m = _machine(jit=False)
+    r = m.load_and_run(LOOP, base=CODE_BASE)
+    tc = m.perf.tcache
+    assert tc.denied["jit_off"] == r.instructions
+    assert tc.fast_loop_instructions == 0 and tc.jit_blocks == 0
+    assert f"jit_off {r.instructions}" in m.perf.summary()
+    assert m.metrics().snapshot().counters["denied.jit_off"] == r.instructions
+    assert m.sim.tcache.tier_of("mem", CODE_BASE + 8) == "guarded"

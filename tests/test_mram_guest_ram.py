@@ -4,12 +4,12 @@ The §3 applications run mroutines whose blocks read and write guest
 memory: the page-table walker loads PTEs, the STM intercept handlers
 load and store the transaction's data, and kenter/kexit index the
 kernel's syscall table.  Each app runs on three functional machines —
-the interpreter, the translation cache, and MJIT compiling every block
-on first dispatch — both cache-less and with the default caches, and
+the interpreter, the translation cache with MJIT off (the guarded
+loop only), and MJIT compiling every block on first dispatch — both cache-less and with the default caches, and
 the three must agree on registers, pc, instret, cycles and every byte
 of RAM.  Every block MJIT compiled is translation-validated, and at
 least one of them is an MRAM block with a LOAD or STORE entry, so
-tier 2 really compiles mroutine code that touches guest RAM.
+MJIT really compiles mroutine code that touches guest RAM.
 """
 
 from __future__ import annotations
@@ -158,10 +158,9 @@ TIERS = ("interp", "tcache", "jit")
 def run_app(app: str, tier: str, with_caches: bool):
     make_routines, setup, source = APPS[app]
     config = MachineConfig(with_caches=with_caches,
-                           tcache=(tier != "interp"), jit=(tier == "jit"))
+                           tcache=(tier != "interp"),
+                           jit=(tier == "jit"))  # "tcache": guarded loop
     machine = build_metal_machine(make_routines(), config=config)
-    if tier == "jit":
-        machine.sim.tcache.jit_threshold = 1
     if setup is not None:
         setup(machine)
     program = machine.assemble(source)

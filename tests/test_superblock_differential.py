@@ -3,13 +3,14 @@
 Random guest programs (ALU ops, branches, jumps, loads/stores,
 ``menter``/``mexit`` round-trips into mroutines, and self-modifying
 stores) run in lockstep on four functional machines — tcache off
-entirely, tcache + superblock chaining on, tcache + chaining with
-the MPROF trace sink attached (which bounds chained dispatches at the
-profiling chain quantum), and tcache + chaining with the MJIT tier-2
-compiler on at threshold 1 (every dispatched block is compiled to
-specialized Python on first execution, including blocks whose code the
-program later rewrites in place) — and every architecturally visible
-piece of state is compared after every chunk of retired instructions.
+entirely, tcache + superblock chaining with MJIT off (every block runs
+the guarded per-entry loop), tcache + chaining + MJIT with the MPROF
+trace sink attached (which bounds chained dispatches at the profiling
+chain quantum), and tcache + chaining + MJIT (every dispatched block is
+compiled to specialized Python on first execution, including blocks
+whose code the program later rewrites in place) — and every
+architecturally visible piece of state is compared after every chunk
+of retired instructions.
 Any divergence means the host fast path (the chainer, the profiler or
 the JIT) leaked into guest-visible behaviour.
 
@@ -41,16 +42,11 @@ _routines = routines
 _gen_program = gen_program
 
 
-def _build(tcache: bool, jit: bool = False):
-    machine = build_metal_machine(
+def _build(tcache: bool, jit: bool = True):
+    return build_metal_machine(
         _routines(), engine="functional", with_caches=False,
-        ram_bytes=RAM_BYTES, tcache=tcache,
+        ram_bytes=RAM_BYTES, tcache=tcache, jit=jit,
     )
-    if jit:
-        machine.set_tcache_jit(True)
-        # Compile on first dispatch so every seed exercises tier 2.
-        machine.sim.tcache.jit_threshold = 1
-    return machine
 
 
 def _state(machine) -> dict:
@@ -97,9 +93,9 @@ def test_differential(seed):
     source = _gen_program(rng)
 
     m_ref = _build(tcache=False)       # interpreter, no fast path at all
-    m_got = _build(tcache=True)        # predecoded blocks + chaining
-    m_prof = _build(tcache=True)       # chaining + MPROF sink attached
-    m_jit = _build(tcache=True, jit=True)   # chaining + MJIT tier 2
+    m_got = _build(tcache=True, jit=False)  # chaining, guarded loop only
+    m_prof = _build(tcache=True)       # chaining + MJIT + MPROF sink
+    m_jit = _build(tcache=True)        # chaining + MJIT
     m_prof.set_profiling(True)
 
     programs = []
@@ -172,8 +168,8 @@ def test_differential_snapshot_midrun(snap_seed):
     assert probe.core.halted, f"snap seed {snap_seed}: probe never halted"
     snapshot_mid = max(1, probe.core.instret // 2)
 
-    machines = (_build(tcache=False), _build(tcache=True),
-                _build(tcache=True), _build(tcache=True, jit=True))
+    machines = (_build(tcache=False), _build(tcache=True, jit=False),
+                _build(tcache=True), _build(tcache=True))
     m_ref, m_got, m_prof, m_jit = machines
     m_prof.set_profiling(True)
     for machine in machines:

@@ -363,14 +363,11 @@ class TestLockstepWithSynthesis:
     def _variant(name, routines, setup):
         machine = build_metal_machine(
             list(routines), engine="functional", with_caches=False,
-            tcache=(name != "interp"))
+            tcache=(name != "interp"), jit=(name != "chained"))
         if setup is not None:
             setup(machine)
         if name == "profiled":
             machine.set_profiling(True)
-        elif name == "jit":
-            machine.set_tcache_jit(True)
-            machine.sim.tcache.jit_threshold = 1
         return machine
 
     def test_four_way_differential_25_seeds(self):

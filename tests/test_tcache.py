@@ -314,7 +314,9 @@ def test_perf_counters_surface():
     assert perf.host_seconds > 0
     assert perf.host_mips > 0
     assert stats.blocks_compiled > 0
-    assert stats.hits > 0
+    # The fib loop's back edge runs inside its compiled block, so it
+    # shows up as chain hits rather than block-map hits.
+    assert stats.chain_hits > 0
     assert stats.hit_rate > 0.5
     assert stats.fast_instructions > 0
     assert stats.fast_instructions <= perf.guest_instructions
@@ -532,7 +534,7 @@ def test_tlb_on_pagetable_app_denied_for_tlb():
     retirement is attributed, and nothing else leaves the fast loop."""
     from tests.test_mram_guest_ram import run_app
 
-    machine = run_app("pagetable", "tcache", with_caches=False)
+    machine = run_app("pagetable", "jit", with_caches=False)
     perf = machine.perf
     denied = perf.tcache.denied
     assert denied["tlb"] > 0

@@ -59,7 +59,7 @@ def test_unsnapshotted_field_is_detected():
 
 def test_missing_code_version_bump_is_detected():
     # write_code patches MRAM code bytes without bumping code_version —
-    # stale tier-2 blocks would keep running the old code.
+    # stale compiled blocks would keep running the old code.
     override = _mutated(
         "metal/mram.py",
         "        struct.pack_into(f\"<{len(words)}I\", self.code, offset, "

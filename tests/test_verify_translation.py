@@ -82,10 +82,7 @@ loop:
 
 
 def _machine():
-    machine = build_metal_machine(
-        [], config=MachineConfig(with_caches=False, jit=True))
-    machine.sim.tcache.jit_threshold = 1
-    return machine
+    return build_metal_machine([], config=MachineConfig(with_caches=False))
 
 
 def _compiled_blocks(source):
@@ -96,7 +93,7 @@ def _compiled_blocks(source):
 
 def _looped_block(source):
     blocks = [block for ns, block in _compiled_blocks(source) if ns == "mem"]
-    assert blocks, "program compiled no tier-2 blocks"
+    assert blocks, "program compiled no blocks"
     looped = [b for b in blocks
               if reference_summary(b, "mem").looped]
     assert len(looped) == 1, "expected exactly one looped block"
