@@ -37,22 +37,11 @@ instruction count and fast-path denials by reason.  A ``trajectory``
 list in the JSON keeps the tight-loop functional numbers of every
 earlier run for trend tracking.
 
-Since PR 4 the JSON also records the MPROF numbers:
-
-* ``profiler`` — tight-loop functional MIPS with the trace event sink
-  detached vs attached.  Detached must track the PR-3 trajectory entry
-  (the sink costs one pointer test per retired trace when off);
-  attached overhead is asserted ≤15% in the full run.
-* ``preformation`` — mcode_heavy functional MIPS with the dynamic
-  chainer warming up on its own vs profile-guided superblock
-  preformation (``Machine.preform_superblocks``) seeding the blocks and
-  links at build time.  Guest results must be bit-identical; the MIPS
-  delta is recorded win or lose (preformation buys first-delivery
-  latency, not steady-state throughput, so expect ~parity on a
-  long-running loop).  Preformation also compiles the planned loop
-  heads with MJIT at build time, so the *first* delivery already runs
-  through compiled code — asserted by checking ``jit_blocks`` before
-  the run starts.
+Since PR 4 the JSON also records the MPROF ``profiler`` numbers:
+tight-loop functional MIPS with the trace event sink detached vs
+attached.  Detached must track the PR-3 trajectory entry (the sink
+costs one pointer test per retired trace when off); attached overhead
+is asserted ≤15% in the full run.
 
 The tcache is architecture-invisible, so for every workload and engine
 the guest results (``RunResult.instructions`` / ``cycles``) must be
@@ -243,65 +232,6 @@ def measure_profiler_overhead(iters: int, reps: int,
     }
 
 
-def measure_preformation(iters: int, reps: int,
-                         engine: str = "functional") -> dict:
-    """mcode_heavy MIPS: dynamic chain warmup vs superblock preformation.
-
-    Preformation compiles and pre-chains the pure mroutine's blocks at
-    build time (``Machine.preform_superblocks``), MJIT-compiling the
-    planned loop heads *before the run starts*, so the first delivery
-    of the mroutine already executes at steady state; the dynamic
-    baseline lets the chainer discover and compile them on first
-    dispatch.  Results must be bit-identical; the MIPS delta is
-    recorded win or lose.
-    """
-    source = workload_source("mcode_heavy", iters)
-
-    def best(preform: bool):
-        best_mips, ref = 0.0, None
-        blocks = links = warmed = 0
-        for _ in range(reps):
-            machine = _build("mcode_heavy", engine)
-            if preform:
-                blocks, links = machine.preform_superblocks()
-                warmed = machine.perf.tcache.jit_blocks
-                assert warmed > 0, (
-                    "preformation left the loop heads uncompiled: first "
-                    "delivery would not run at steady state")
-            host0 = perf_counter()
-            result = machine.load_and_run(source,
-                                          max_instructions=50_000_000)
-            host = perf_counter() - host0
-            outcome = (result.instructions, result.cycles)
-            if ref is None:
-                ref = outcome
-            elif outcome != ref:
-                raise AssertionError(
-                    f"preform run non-deterministic: {outcome} vs {ref}")
-            best_mips = max(best_mips,
-                            result.instructions / host / 1e6 if host else 0.0)
-        return best_mips, ref, blocks, links, warmed
-
-    dyn_mips, dyn_ref, _, _, _ = best(False)
-    pre_mips, pre_ref, blocks, links, warmed = best(True)
-    assert pre_ref == dyn_ref, (
-        f"preformation changed guest-visible results: {pre_ref} vs {dyn_ref}"
-    )
-    report = {
-        "workload": "mcode_heavy",
-        "engine": engine,
-        "iterations": iters,
-        "dynamic_mips": round(dyn_mips, 4),
-        "preformed_mips": round(pre_mips, 4),
-        "preform_speedup": round(
-            pre_mips / dyn_mips if dyn_mips else 0.0, 3),
-        "preformed_blocks": blocks,
-        "preformed_links": links,
-        "preformed_jit_blocks_warm": warmed,
-    }
-    return report
-
-
 def _load_previous(path: str):
     try:
         with open(path) as fh:
@@ -360,8 +290,7 @@ def _trajectory(results: dict, previous,
 
 
 def _emit_json(results: dict, json_path: str = JSON_PATH,
-               profiler: Optional[dict] = None,
-               preformation: Optional[dict] = None) -> str:
+               profiler: Optional[dict] = None) -> str:
     path = os.path.abspath(json_path)
     trajectory = _trajectory(results, _load_previous(path),
                              profiler=profiler)
@@ -372,8 +301,6 @@ def _emit_json(results: dict, json_path: str = JSON_PATH,
     }
     if profiler:
         payload["profiler"] = profiler
-    if preformation:
-        payload["preformation"] = preformation
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -426,23 +353,14 @@ def run_full() -> dict:
     results = run_suite(iters, reps=3)
     _print_table(results)
     profiler = measure_profiler_overhead(iters["tight_loop"], reps=3)
-    preformation = measure_preformation(iters["mcode_heavy"], reps=3)
     print(f"profiler overhead  : off {profiler['profiling_off_mips']:.3f} "
           f"MIPS, on {profiler['profiling_on_mips']:.3f} MIPS "
           f"({profiler['enabled_overhead']:.1%} enabled overhead)")
-    print(f"preformation       : dynamic {preformation['dynamic_mips']:.3f} "
-          f"MIPS, preformed {preformation['preformed_mips']:.3f} MIPS "
-          f"({preformation['preform_speedup']:.3f}x, "
-          f"{preformation['preformed_blocks']} blocks / "
-          f"{preformation['preformed_links']} links ahead)")
-    path = _emit_json(results, profiler=profiler, preformation=preformation)
+    path = _emit_json(results, profiler=profiler)
     print(f"results written to {path}")
     assert profiler["enabled_overhead"] <= 0.15, (
         f"profiling-enabled overhead {profiler['enabled_overhead']:.1%} "
         f"> 15% on the tight loop"
-    )
-    assert preformation["preformed_blocks"] > 0, (
-        "preformation compiled no blocks on mcode_heavy"
     )
     poly = results["poly_branch"]["functional"]["tcache"]["chains"]
     assert poly["poly_hits"] > 0, (
@@ -492,9 +410,7 @@ def run_smoke() -> dict:
     results = run_suite(iters, reps=1, engines=("functional",))
     _print_table(results)
     profiler = measure_profiler_overhead(iters["tight_loop"], reps=1)
-    preformation = measure_preformation(iters["mcode_heavy"], reps=1)
-    path = _emit_json(results, json_path=SMOKE_JSON_PATH,
-                      profiler=profiler, preformation=preformation)
+    path = _emit_json(results, json_path=SMOKE_JSON_PATH, profiler=profiler)
     print(f"smoke results written to {path}")
     tight = results["tight_loop"]["functional"]
     assert tight["tcache"]["hit_rate"] >= 0.90, (
@@ -510,11 +426,8 @@ def run_smoke() -> dict:
         "poly_branch: the polymorphic target map never hit"
     )
     _assert_mram_fast_loop(results)
-    # Structural profiler/preformation checks (no wall-clock asserts).
+    # Structural profiler check (no wall-clock asserts).
     assert profiler["traces_recorded"] > 0, "profiler recorded no traces"
-    assert preformation["preformed_blocks"] > 0, (
-        "preformation compiled no blocks"
-    )
     _assert_tight_loop_compiled(tight)
     return results
 

@@ -2,8 +2,8 @@
 
 :class:`RoutineFacts` is the cross-layer contract: the loader runs MAS
 over each mroutine at image-build time and attaches the facts to the
-:class:`~repro.metal.loader.MetalImage`.  Superblock preformation plans
-from the ``pure_dispatch`` routines' CFGs, and MJIT elides the bounds
+:class:`~repro.metal.loader.MetalImage`.  The lint report and MSYNTH
+candidate reports read ``pure_dispatch``, and MJIT elides the bounds
 guard at exactly the ``mld``/``mst`` sites the interval pass proved.
 """
 
@@ -41,9 +41,9 @@ class RoutineFacts:
 
     purity: Purity = Purity.WRITES_RAM
     #: True when no instruction in the routine stores to guest RAM or
-    #: uses an architectural-feature side channel.  Profile-guided
-    #: superblock preformation (repro.profile.preform) plans only such
-    #: routines; dispatch does not depend on it.
+    #: uses an architectural-feature side channel.  Reported by the lint
+    #: report and MSYNTH candidate reports; dispatch does not depend on
+    #: it.
     pure_dispatch: bool = False
     reads_ram: bool = False
     writes_ram: bool = False

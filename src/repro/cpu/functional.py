@@ -580,12 +580,13 @@ class FunctionalSimulator:
             icache_access = icache.access if icache is not None else None
             take_irq = self._maybe_take_interrupt
             note = timer.note
+            op_fn = execute
             trace = self.trace_fn
             f_sync, f_csr, f_term = F_SYNC, F_CSR, F_TERM
             f_break = F_TERM | F_STORE
             while True:
                 stop = False
-                for instr, op_fn, pc, flags, _hint in block.entries:
+                for instr, pc, flags in block.entries:
                     if retired:
                         if retired >= budget or pc == stop_pc:
                             stop = True

@@ -235,7 +235,7 @@ class _Codegen:
         """Classify every entry: the guest registers it touches, and
         whether it can trap."""
         track = self.tracked
-        for instr, _op_fn, pc, flags, _hint in self.block.entries:
+        for instr, pc, flags in self.block.entries:
             cls = instr.spec.cls
             if flags & F_TERM:
                 if cls is InstrClass.BRANCH:
@@ -296,7 +296,7 @@ class _Codegen:
 
     # -- body emission ---------------------------------------------------
     def emit_entry(self, index: int, entry) -> None:
-        instr, _op_fn, pc, flags, _hint = entry
+        instr, pc, flags = entry
         cls = instr.spec.cls
         if flags & F_TERM:
             self.flush_units()
@@ -514,15 +514,15 @@ class _Codegen:
         entries = block.entries
         self.scan()
         last = entries[-1]
-        term_cls = last[0].spec.cls if last[3] & F_TERM else None
+        term_cls = last[0].spec.cls if last[2] & F_TERM else None
         # Internalise the loop only for exits that can actually target
         # the block head: a statically self-targeting branch/jal, or any
         # jalr (dynamic target, checked at run time).
         self.looped = bool(block.chainable) and (
             (term_cls is InstrClass.BRANCH
-             and ((last[2] + last[0].imm) & _M) == block.start)
+             and ((last[1] + last[0].imm) & _M) == block.start)
             or (term_cls is InstrClass.JAL
-                and ((last[2] + last[0].imm) & _M) == block.start)
+                and ((last[1] + last[0].imm) & _M) == block.start)
             or term_cls is InstrClass.JALR
         )
 
@@ -538,7 +538,7 @@ class _Codegen:
         for index, entry in enumerate(entries):
             self.emit_entry(index, entry)
         self.flush_units()
-        if not (last[3] & F_TERM):
+        if not (last[2] & F_TERM):
             self.emit(f"next_pc = {block.end}")
         if self.looped:
             self.indent -= 1

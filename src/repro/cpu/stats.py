@@ -54,11 +54,6 @@ class TcacheStats:
     chain_breaks: int = 0
     #: Longest run of chained block transitions inside one dispatch.
     chain_longest: int = 0
-    #: MRAM blocks compiled ahead of execution by profile-guided
-    #: superblock preformation (repro.profile.preform).
-    preformed_blocks: int = 0
-    #: Chain links installed ahead of execution by preformation.
-    preformed_links: int = 0
     #: Blocks compiled by MJIT (repro.cpu.jit).
     jit_blocks: int = 0
     #: MJIT compiles whose code object came from the process-wide memo
@@ -147,8 +142,6 @@ class PerfCounters:
             f"tcache chains      : {tc.chain_links} links, "
             f"{tc.chain_hits} followed ({tc.chain_poly_hits} polymorphic), "
             f"{tc.chain_breaks} broken (longest {tc.chain_longest})",
-            f"tcache preformed   : {tc.preformed_blocks} blocks, "
-            f"{tc.preformed_links} links ahead of execution",
             f"tcache jit (MJIT)  : {tc.jit_blocks} blocks compiled "
             f"({tc.jit_memo_hits} memo hits, {tc.jit_compile_ms:.2f} ms), "
             f"{tc.jit_instructions} instrs compiled "

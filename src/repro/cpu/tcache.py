@@ -6,11 +6,12 @@ The seed interpreter pays a full Python round-trip per guest instruction:
 though guest code is overwhelmingly straight-line loops re-executing the
 same words.  The tcache amortises everything *before* ``execute()`` by
 predecoding guest code into **basic blocks**: arrays of
-``(instr, op_fn, pc, flags, next_pc_hint)`` tuples ending at control
-flow, ``menter``/``mexit``, CSR/SYSTEM instructions, or any
+``(instr, pc, flags)`` tuples ending at control flow,
+``menter``/``mexit``, CSR/SYSTEM instructions, or any
 architectural-feature instruction that could change an invariant blocks
-are compiled under.  ``op_fn`` is :func:`repro.cpu.executor.execute` —
-semantics stay single-sourced; only the fetch/decode/probe work is cached.
+are compiled under.  Every entry runs through
+:func:`repro.cpu.executor.execute` — semantics stay single-sourced; only
+the fetch/decode/probe work is cached.
 
 Each block is run by MJIT-compiled code (:mod:`repro.cpu.jit`), built
 at the block's first dispatch through the engine's batched fast loop,
@@ -72,10 +73,8 @@ executing stale code.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Optional
 
 from repro.errors import BusError, DecodeError, MramError
-from repro.cpu.executor import execute
 from repro.isa.decoder import decode
 from repro.isa.instruction import InstrClass
 
@@ -129,11 +128,11 @@ class Block:
                  "chainable", "link", "link_pc", "links", "jit_fn")
 
     def __init__(self, ns: str, start: int, end: int, entries,
-                 chainable: bool = False, link_pc: Optional[int] = None):
+                 chainable: bool = False):
         self.ns = ns              # fetch namespace: "mem" or "mram"
         self.start = start
         self.end = end            # byte address just past the last entry
-        self.entries = entries    # list of (instr, op_fn, pc, flags, hint)
+        self.entries = entries    # list of (instr, pc, flags)
         self.valid = True
         #: MJIT-compiled function for this block, or None until its
         #: first dispatch through the batched fast loop.  Every eviction
@@ -144,21 +143,17 @@ class Block:
         #: jalr terminator, or the fall-through of a length-limited block).
         self.chainable = chainable
         #: Most-recently-used chained successor block and the guest pc the
-        #: link is valid for.  ``link_pc`` is seeded from the terminator's
-        #: decoded static target (the ``next_pc_hint``); the link itself is
-        #: installed on first traversal and re-validated against the
-        #: observed next pc every time it is followed.
+        #: link is valid for.  Both are installed on first traversal and
+        #: re-validated against the observed next pc every time the link
+        #: is followed.
         self.link = None
-        self.link_pc = link_pc
+        self.link_pc = None
         #: Secondary chain targets, MRU-first: a list of ``(pc, Block)``
         #: pairs (or None until first needed).  Together with the ``link``
         #: slot this forms a small LRU target map so alternating-target
         #: branches stop relinking on every flip; capped at
         #: ``LINKS_MAX - 1`` entries.
         self.links = None
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -183,22 +178,6 @@ def _classify(instr, mram: bool):
     if cls is InstrClass.CSR:
         flags |= F_CSR
     return flags, True
-
-
-def _static_hint(instr, pc: int) -> int:
-    """Decoded static successor of the instruction at *pc*.
-
-    For direct jumps this is the jump target and for conditional branches
-    the *taken* target (the loop-heavy common case); everything else —
-    including ``jalr``, whose target is indirect — falls through to
-    ``pc + 4``.  The hint seeds the chain's ``link_pc``; it is advisory
-    only and every chain traversal re-validates it against the executed
-    ``next_pc``, so a wrong guess costs one lookup, never correctness.
-    """
-    cls = instr.spec.cls
-    if cls is InstrClass.JAL or cls is InstrClass.BRANCH:
-        return (pc + instr.imm) & 0xFFFFFFFF
-    return (pc + 4) & 0xFFFFFFFF
 
 
 #: Micro-op IR kinds (first element of a :func:`uop_ir` tuple).  The
@@ -245,18 +224,6 @@ def uop_ir(instr, pc: int):
     return None
 
 
-def _chain_shape(entries, end: int, terminated: bool):
-    """``(chainable, link_pc seed)`` for a freshly compiled block."""
-    if not terminated:
-        # Length-limited (or decode/bus-bounded) block: the only exit is
-        # the fall-through, which is always chainable.
-        return True, end
-    last_instr, _op_fn, _pc, _flags, hint = entries[-1]
-    if last_instr.spec.cls in _CHAIN_CLASSES:
-        return True, hint
-    return False, None
-
-
 class TranslationCache:
     """Per-engine cache of predecoded basic blocks, in two namespaces."""
 
@@ -264,9 +231,8 @@ class TranslationCache:
     #: interrupt-sampling work lost when a block aborts early.
     MAX_BLOCK_LEN = 64
 
-    def __init__(self, stats, max_block_len: Optional[int] = None):
+    def __init__(self, stats):
         self.stats = stats
-        self.max_block_len = max_block_len or self.MAX_BLOCK_LEN
         #: Optional profiling sink (repro.profile.sink.TraceEventSink).
         #: When attached, compile/invalidate/flush/chain-break events are
         #: reported for the exported timeline; ``None`` costs nothing on
@@ -353,23 +319,24 @@ class TranslationCache:
         mram = ns == "mram"
         entries = []
         p = pc
-        limit = self.max_block_len
         terminated = False
-        while len(entries) < limit:
+        while len(entries) < self.MAX_BLOCK_LEN:
             try:
                 instr = decode(fetch(p))
             except (BusError, MramError, DecodeError):
                 break
             flags, term = _classify(instr, mram)
-            entries.append((instr, execute, p, flags, _static_hint(instr, p)))
+            entries.append((instr, p, flags))
             p += 4
             if term:
                 terminated = True
                 break
         if not entries:
             return None
-        block = Block(ns, pc, p, entries,
-                      *_chain_shape(entries, p, terminated))
+        # A length-limited (or decode/bus-bounded) block's only exit is
+        # the fall-through, which is always chainable.
+        chainable = not terminated or instr.spec.cls in _CHAIN_CLASSES
+        block = Block(ns, pc, p, entries, chainable)
         (self._mram if mram else self._mem)[pc] = block
         self.stats.blocks_compiled += 1
         if self.sink is not None:
@@ -520,57 +487,6 @@ class TranslationCache:
     def _chain_install(self, block, next_pc: int, nxt) -> None:
         self._chain_promote(block, next_pc, nxt)
         self.stats.chain_links += 1
-
-    # ------------------------------------------------------------------
-    # profile-guided preformation (repro.profile.preform)
-    # ------------------------------------------------------------------
-    def preform_mram(self, starts, mram):
-        """Compile mram blocks at byte offsets *starts* ahead of execution
-        and pre-chain them along their static successor seeds.
-
-        This is the mechanism half of profile-guided superblock
-        formation: the policy half (which pcs are worth preforming —
-        CFG loop heads of ``pure_dispatch`` routines, optionally filtered
-        by a hot-trace profile) lives in :mod:`repro.profile.preform`.
-        Blocks come out of the ordinary :meth:`mram_block` compiler, so a
-        preformed block is bit-identical to the one dynamic dispatch
-        would have built at the same pc; links are installed only toward
-        already-compiled blocks and use the same ``link``/``link_pc``
-        slots the dynamic chainer validates on every traversal, so a
-        wrong static seed costs one relink, never correctness.
-
-        Returns ``(blocks_compiled, links_installed)``.
-        """
-        blocks = []
-        compiled = 0
-        for pc in starts:
-            cached = self._mram.get(pc)
-            block = cached if cached is not None else self.mram_block(pc, mram)
-            if block is None:
-                continue
-            blocks.append(block)
-            if cached is None:
-                compiled += 1
-        links = 0
-        for block in blocks:
-            if not block.chainable or block.link is not None:
-                continue
-            target = block.link_pc
-            if target is None or target % 4:
-                continue
-            succ = self._mram.get(target)
-            if succ is not None and succ.valid:
-                block.link = succ
-                links += 1
-        if self.jit:
-            # Compile the planned blocks now rather than at their first
-            # dispatch, so the very first menter runs compiled code.
-            for block in blocks:
-                if block.jit_fn is None:
-                    self.jit_compile(block)
-        self.stats.preformed_blocks += compiled
-        self.stats.preformed_links += links
-        return compiled, links
 
     # ------------------------------------------------------------------
     # invalidation

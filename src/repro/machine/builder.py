@@ -89,14 +89,9 @@ class MachineConfig:
     #: repro.cpu.tcache).  Architecture-invisible — guest results are
     #: bit-identical either way.
     tcache: bool = True
-    #: Preform superblocks for analysis-proven pure mroutines at build
-    #: time (profile-guided when a profile is replayed later; see
-    #: repro.profile.preform).  Guest-invisible, like the tcache itself.
-    preform: bool = False
-    #: MJIT compilation of every fast-loop block (repro.cpu.jit).
-    #: Guest-invisible; off, every block runs the engine's guarded
-    #: per-entry loop.  With ``preform`` also on, the planned loop heads
-    #: are compiled at build time.
+    #: MJIT compilation of every fast-loop block (repro.cpu.jit), at
+    #: each block's first dispatch.  Guest-invisible; off, every block
+    #: runs the engine's guarded per-entry loop.
     jit: bool = True
     extra_symbols: dict = field(default_factory=dict)
 
@@ -175,8 +170,6 @@ def build_metal_machine(routines=(), config: MachineConfig = None,
     machine.metal_image = image
     # Expose entry numbers and data offsets to guest assembly.
     machine.symbols.update(image.symbols)
-    if config.preform and config.tcache:
-        machine.preform_superblocks()
     return machine
 
 

@@ -196,16 +196,6 @@ class Machine:
 
         return MetricsRegistry(self)
 
-    def preform_superblocks(self, profile=None):
-        """Profile-guided superblock preformation (guest-invisible):
-        compile and pre-chain the mram blocks of analysis-proven
-        ``pure_dispatch`` routines ahead of execution, optionally
-        narrowed to routines *profile* recorded as hot.  Returns
-        ``(blocks_compiled, links_installed)``."""
-        from repro.profile.preform import preform_superblocks
-
-        return preform_superblocks(self, profile=profile)
-
     # -- mroutine (re)loading --------------------------------------------
     def reload_mroutines(self, routines) -> None:
         """Replace the loaded mroutine image in place (Metal machines).

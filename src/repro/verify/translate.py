@@ -93,11 +93,11 @@ def _check_ns(where: str, block, fn, cand, findings: list) -> None:
                 findings.append(Finding(
                     PASS, where, f"namespace binding _i{idx} is not the "
                     "block's own decoded instruction"))
-            if ev[2] != block.entries[idx][2]:
+            if ev[2] != block.entries[idx][1]:
                 findings.append(Finding(
                     PASS, where, f"execute() at entry {idx} passes pc "
                     f"{_render(ev[2])}, entry pc is "
-                    f"{block.entries[idx][2]:#x}"))
+                    f"{block.entries[idx][1]:#x}"))
 
 
 def validate_block(ns_label: str, block, proven_pcs=frozenset()):

@@ -141,7 +141,7 @@ def scan_block(block, proven_pcs) -> BlockInfo:
     trapping = False
     has_generic = False
     has_sync = False
-    for instr, _fn, pc, flags, _hint in block.entries:
+    for instr, pc, flags in block.entries:
         cls = instr.spec.cls
         if flags & F_TERM:
             if cls is InstrClass.BRANCH:
@@ -214,12 +214,12 @@ def scan_block(block, proven_pcs) -> BlockInfo:
         written |= tracked  # reload after execute() reassigns every local
 
     last = block.entries[-1]
-    term_cls = last[0].spec.cls if last[3] & F_TERM else None
+    term_cls = last[0].spec.cls if last[2] & F_TERM else None
     looped = bool(block.chainable) and (
         (term_cls is InstrClass.BRANCH
-         and ((last[2] + last[0].imm) & M32) == block.start)
+         and ((last[1] + last[0].imm) & M32) == block.start)
         or (term_cls is InstrClass.JAL
-            and ((last[2] + last[0].imm) & M32) == block.start)
+            and ((last[1] + last[0].imm) & M32) == block.start)
         or term_cls is InstrClass.JALR
     )
     return BlockInfo(
@@ -611,7 +611,7 @@ class _Ref:
         for index, entry in enumerate(self.block.entries):
             if self.st is None:
                 break  # a statically-certain trap ended every path
-            instr, _fn, pc, flags, _hint = entry
+            instr, pc, flags = entry
             cls = instr.spec.cls
             if flags & F_TERM:
                 self.flush_units(self.st)

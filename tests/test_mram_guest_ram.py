@@ -179,7 +179,7 @@ def _state(machine) -> tuple:
 
 def _touches_guest_ram(block) -> bool:
     return any(instr.spec.cls in (InstrClass.LOAD, InstrClass.STORE)
-               for instr, _fn, _pc, _flags, _hint in block.entries)
+               for instr, _pc, _flags in block.entries)
 
 
 @pytest.mark.parametrize("with_caches", (False, True),

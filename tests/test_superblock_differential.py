@@ -230,9 +230,13 @@ def test_differential_snapshot_midrun(snap_seed):
 
 def test_chaining_engages_on_loops():
     """Structural check: a loopy program actually follows chain links
-    (guards the fuzz harness against silently testing chaining-off)."""
+    (guards the fuzz harness against silently testing chaining-off),
+    and links each block to the successor it really took.  The run
+    stops mid-loop, before ``hop``'s branch ever falls through, so its
+    one link must name the decoded branch target ``loop``; a block
+    chained to its fall-through would show here."""
     m = _build(tcache=True)
-    m.load_and_run("""
+    program = m.assemble("""
 _start:
     li   s0, 2000
 loop:
@@ -243,11 +247,21 @@ hop:
     blt  zero, s0, loop
     halt
 """, base=CODE_BASE)
+    m.load(program)
+    m.core.pc = CODE_BASE
+    m.run(max_instructions=5000, raise_on_limit=False)
     stats = m.perf.tcache
-    assert m.reg("a0") == 2000
+    assert not m.core.halted
+    assert m.reg("a0") > 1000
     assert stats.chain_links >= 2
     assert stats.chain_hits > 1000
     assert stats.chain_longest > 100
+    tcache = m.sim.tcache
+    loop = program.symbols["loop"]
+    hop = tcache.mem_block(program.symbols["hop"], m.bus)
+    assert hop.link_pc == loop, (
+        f"hop linked to {hop.link_pc:#x}, decoded target is {loop:#x}")
+    assert hop.link is tcache.mem_block(loop, m.bus)
 
 
 def test_polymorphic_branch_stays_chained():

@@ -347,48 +347,6 @@ def test_snapshot_restore_flushes():
 # superblock chaining
 # ---------------------------------------------------------------------------
 
-def test_next_pc_hint_matches_decoded_target():
-    """The per-entry next_pc_hint must be computed from the decoded
-    instruction, not assumed sequential: a stale hint would chain a block
-    to its fall-through even when the terminator always jumps backward.
-
-    Regression test for the hint bug fixed alongside chaining: probe the
-    cache directly and compare each terminator's hint with the decoded
-    jal/branch target.
-    """
-    from repro.cpu.stats import TcacheStats
-    from repro.cpu.tcache import TranslationCache
-
-    noop = MRoutine(name="noop", entry=0, source="mexit\n")
-    machine = build_metal_machine([noop], with_caches=False)
-    program = machine.assemble("""
-_start:
-    addi a0, a0, 1
-loop:
-    addi a1, a1, 1
-    bnez a1, loop
-after:
-    j    _start
-""", base=0x1000)
-    machine.load(program)
-
-    cache = TranslationCache(TcacheStats())
-    loop = program.symbols["loop"]
-    start = program.symbols["_start"]
-    after = program.symbols["after"]
-
-    block = cache.mem_block(start, machine.bus)
-    # Terminator is `bnez a1, loop`: hint must be the branch target.
-    instr, _fn, pc, _flags, hint = block.entries[-1]
-    assert pc == loop + 4
-    assert hint == loop, f"branch hint {hint:#x} != decoded target {loop:#x}"
-
-    block = cache.mem_block(after, machine.bus)
-    instr, _fn, pc, _flags, hint = block.entries[-1]
-    assert pc == after
-    assert hint == start, f"jal hint {hint:#x} != decoded target {start:#x}"
-
-
 def _hop_program(machine, new_word):
     """A loop at 0x1000 chained through a one-instruction stub on a
     *different* page at 0x2000; the guest patches the stub mid-run while
