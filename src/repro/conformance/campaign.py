@@ -9,7 +9,7 @@ after every chunk of retired instructions:
 
 =========== ==========================================================
 interp      interpreter, no fast path at all (the reference)
-chained     predecoded superblocks + polymorphic chaining, MJIT off:
+chained     predecoded superblocks + chaining, MJIT off:
             every block runs the guarded per-entry loop
 profiled    chaining + MJIT + the MPROF trace sink attached
 jit         chaining + MJIT, every block compiled at first dispatch

@@ -39,7 +39,7 @@ from repro.cpu.exceptions import Cause, TrapException
 from repro.cpu.executor import StepInfo, execute
 from repro.cpu.stats import PerfCounters
 from repro.cpu.tcache import F_CSR, F_STORE, F_SYNC, F_TERM, TranslationCache
-from repro.cpu.timing import CONTROL_PENALTY, TimingModel
+from repro.cpu.timing import CONTROL_PENALTY, MULDIV_EXTRA, TimingModel
 from repro.isa.decoder import decode
 from repro.isa.instruction import InstrClass
 from repro.profile.sink import StepHub
@@ -74,11 +74,7 @@ class SimpleTimer:
         if step.mem_latency > 1:
             cost += step.mem_latency - 1
         if step.cls is _MULDIV:
-            cost += (
-                timing.div_extra
-                if step.mnemonic.startswith(("div", "rem"))
-                else timing.mul_extra
-            )
+            cost += getattr(timing, MULDIV_EXTRA[step.mnemonic])
         if step.control is not None:
             cost += getattr(timing, CONTROL_PENALTY[step.control])
         return cost
@@ -468,7 +464,7 @@ class FunctionalSimulator:
         self._exec_block(block, budget, stop_pc)
 
     def _exec_block(self, block, budget: int, stop_pc: Optional[int]) -> None:
-        """Run *block* and the superblock chain it links into.
+        """Run *block* and the superblock chain it continues into.
 
         One executor serves both fetch namespaces; an mram block differs
         only in answering every fetch in ``mram_fetch`` cycles (paper
@@ -493,14 +489,19 @@ class FunctionalSimulator:
         cycles0 = timer.cycles if sink is not None else 0
         sync = self._sync_devices
         irq = core.irq
+        # Chaining probes the namespace's block map inline; only a miss
+        # pays the lookup call, which compiles the successor.
+        probe = tcache.block_map(ns).get
         if ns == "mram":
             src = core.metal.mram
+            lookup = tcache.mram_block
             latency = core.timing.mram_fetch
             icache = None
             poll = False
             stop_pc = None
         else:
             src = core.bus
+            lookup = tcache.mem_block
             latency = core.timing.mem_latency
             icache = core.icache
             # Interrupt deliverability is constant inside a block — and
@@ -541,8 +542,8 @@ class FunctionalSimulator:
             # ``timer.cycles`` itself at its sample points (CSR reads,
             # syncs, traps, exit); ``core.pc`` and ``core.instret`` are
             # published here.  Chainable exits (branch/jal/jalr,
-            # length-limit fall-through) follow the superblock link to
-            # the successor block without bouncing back to ``run()``.
+            # length-limit fall-through) continue into the successor
+            # block without bouncing back to ``run()``.
             instret0 = core.instret
             while True:
                 jfn = block.jit_fn
@@ -557,19 +558,21 @@ class FunctionalSimulator:
                     # transitions this loop would have made.
                     chained += jloops
                     stats.chain_hits += jloops
-                    if chained > stats.chain_longest:
-                        stats.chain_longest = chained
                 if status == 2:  # trap: regs spilled, cycles flushed
                     trap = jtrap
                 core.pc = next_pc
                 if status or not block.chainable or chained >= chain_limit:
                     break  # status 1: invalidated mid-trace
-                nxt = tcache.chain_next(block, next_pc, src)
-                if nxt is None or budget - retired < len(nxt.entries):
+                nxt = probe(next_pc)
+                if nxt is None:
+                    nxt = lookup(next_pc, src)
+                    if nxt is None:
+                        break
+                else:
+                    stats.chain_hits += 1
+                if budget - retired < len(nxt.entries):
                     break
                 chained += 1
-                if chained > stats.chain_longest:
-                    stats.chain_longest = chained
                 block = nxt
             core.instret = instret0 + retired
             stats.jit_instructions += retired
@@ -633,15 +636,19 @@ class FunctionalSimulator:
                             break
                 if stop or not block.chainable or chained >= chain_limit:
                     break
-                nxt = tcache.chain_next(block, core.pc, src)
+                nxt = probe(core.pc)
                 if nxt is None:
-                    break
+                    nxt = lookup(core.pc, src)
+                    if nxt is None:
+                        break
+                else:
+                    stats.chain_hits += 1
                 chained += 1
-                if chained > stats.chain_longest:
-                    stats.chain_longest = chained
                 block = nxt
             stats.denied[reason] += retired
         stats.fast_instructions += retired
+        if chained > stats.chain_longest:
+            stats.chain_longest = chained
         if sink is not None:
             sink.note_trace(ns, head, chained, retired,
                             timer.cycles, timer.cycles - cycles0)

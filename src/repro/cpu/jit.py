@@ -83,7 +83,7 @@ from repro.cpu.tcache import (
     IR_SET,
     uop_ir,
 )
-from repro.cpu.timing import CONTROL_PENALTY
+from repro.cpu.timing import CONTROL_PENALTY, MULDIV_EXTRA
 from repro.isa.instruction import InstrClass
 
 _M = 0xFFFFFFFF
@@ -104,14 +104,17 @@ for _name, _fn in alu.REG_OPS.items():
     _BASE_NS["_op_" + _name] = _fn
 del _name, _fn
 
+#: Local names the generated source hoists the M-extension extra
+#: cycles into, keyed by :data:`MULDIV_EXTRA`'s timing attribute.
+_MULDIV_LOCALS = {"div_extra": "_dx", "mul_extra": "_mx"}
+
 #: Timing-model attributes the generated prologue may hoist into locals
 #: for the inlined entries, keyed by the local name used in the source.
 _TIMING_LOCALS = {
     "_bt": CONTROL_PENALTY["branch"],
     "_jr": CONTROL_PENALTY["jalr"],
     "_jp": CONTROL_PENALTY["jal"],
-    "_dx": "div_extra",
-    "_mx": "mul_extra",
+    **{name: attr for attr, name in _MULDIV_LOCALS.items()},
 }
 
 _PLAIN_METAL = frozenset(("rmr", "wmr", "mld", "mst"))
@@ -263,9 +266,8 @@ class _Codegen:
                     continue
                 if cls is InstrClass.MULDIV:
                     track.update((instr.rd, instr.rs1, instr.rs2))
-                    m = instr.mnemonic
                     self.timing_needs.add(
-                        "_dx" if m.startswith(("div", "rem")) else "_mx")
+                        _MULDIV_LOCALS[MULDIV_EXTRA[instr.mnemonic]])
                     continue
                 if cls is InstrClass.METAL and instr.mnemonic in _PLAIN_METAL:
                     m = instr.mnemonic
@@ -359,7 +361,7 @@ class _Codegen:
 
     def _emit_muldiv(self, instr) -> None:
         m = instr.mnemonic
-        extra = "_dx" if m.startswith(("div", "rem")) else "_mx"
+        extra = _MULDIV_LOCALS[MULDIV_EXTRA[m]]
         if instr.rd:
             self.emit(f"r{instr.rd} = _op_{m}"
                       f"({_r(instr.rs1)}, {_r(instr.rs2)})")

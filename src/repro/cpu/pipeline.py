@@ -32,7 +32,7 @@ from __future__ import annotations
 from repro.cpu.core import CpuCore
 from repro.cpu.executor import StepInfo
 from repro.cpu.functional import FunctionalSimulator
-from repro.cpu.timing import TimingModel
+from repro.cpu.timing import MULDIV_EXTRA, TimingModel
 from repro.isa.instruction import InstrClass
 
 
@@ -78,11 +78,7 @@ class PipelineTimer:
 
         ex_extra = 0
         if step.cls is InstrClass.MULDIV:
-            ex_extra = (
-                timing.div_extra
-                if step.mnemonic.startswith(("div", "rem"))
-                else timing.mul_extra
-            )
+            ex_extra = getattr(timing, MULDIV_EXTRA[step.mnemonic])
         ex_end = ex_start + ex_extra
 
         mem_start = max(ex_end + 1, self._mem_end + 1)

@@ -41,17 +41,11 @@ class TcacheStats:
     flushes: int = 0
     #: Guest instructions retired through the block fast path.
     fast_instructions: int = 0
-    #: Superblock links installed between blocks.
-    chain_links: int = 0
-    #: Block transitions that followed an existing chain link.
+    #: Block transitions made inside one dispatch that found their
+    #: successor already cached (including MJIT's internalised
+    #: self-loop iterations); a successor that had to be compiled
+    #: counts as a miss instead.
     chain_hits: int = 0
-    #: Chain-link follows satisfied by a *secondary* entry of the
-    #: polymorphic target map (an alternating-target branch that would
-    #: have been a break+relink under the monomorphic single slot).
-    chain_poly_hits: int = 0
-    #: Chain links severed (successor evicted, or observed target
-    #: missing from the target map).
-    chain_breaks: int = 0
     #: Longest run of chained block transitions inside one dispatch.
     chain_longest: int = 0
     #: Blocks compiled by MJIT (repro.cpu.jit).
@@ -72,8 +66,8 @@ class TcacheStats:
     @property
     def dispatches(self) -> int:
         """Block dispatches, including chained transitions (which reach
-        their block through the superblock link without probing the
-        block map — the strongest form of hit)."""
+        their cached successor without returning to the run loop — the
+        strongest form of hit)."""
         return self.hits + self.misses + self.chain_hits
 
     @property
@@ -139,9 +133,8 @@ class PerfCounters:
             f"(hit rate {tc.hit_rate:.1%})",
             f"tcache invalidated : {tc.invalidations} blocks, "
             f"{tc.flushes} flushes",
-            f"tcache chains      : {tc.chain_links} links, "
-            f"{tc.chain_hits} followed ({tc.chain_poly_hits} polymorphic), "
-            f"{tc.chain_breaks} broken (longest {tc.chain_longest})",
+            f"tcache chains      : {tc.chain_hits} chained transitions "
+            f"(longest {tc.chain_longest})",
             f"tcache jit (MJIT)  : {tc.jit_blocks} blocks compiled "
             f"({tc.jit_memo_hits} memo hits, {tc.jit_compile_ms:.2f} ms), "
             f"{tc.jit_instructions} instrs compiled "

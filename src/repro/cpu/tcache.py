@@ -15,27 +15,22 @@ the fetch/decode/probe work is cached.
 
 Each block is run by MJIT-compiled code (:mod:`repro.cpu.jit`), built
 at the block's first dispatch through the engine's batched fast loop,
-or by the engine's guarded per-entry loop over the entry list.  On top
-of the entry list each block carries its **superblock chain**,
-``link``/``link_pc``/``links``: after a block exits through a pure
+or by the engine's guarded per-entry loop over the entry list.  Blocks
+chain into **superblocks**: after a block exits through a pure
 control-flow terminator (branch/jal/jalr, or the fall-through of a
-length-limited block) the engine links it to the successor block and
-on later dispatches follows the link directly, never returning to the
-dispatch loop.  The chain slot is a small LRU
-**target map** (an MRU ``link``/``link_pc`` pair plus up to three
-secondary ``links`` entries), so indirect jumps and data-dependent
-branches that alternate between a few targets keep all of them linked
-instead of relinking on every flip.  A link is followed only when the
-observed ``next_pc`` matches a map entry *and* that successor is
-still valid, so evictions sever chains instead of executing stale
-code.  Only branch/jal/jalr terminators are chainable: every other
-terminator (CSR, SYSTEM, Metal transitions, architectural-feature
-instructions) can move an invariant the chain was built under
-(interrupt enables, translation, interception, halt/wfi), so those
-always return to the dispatcher.
+length-limited block) the engine probes the namespace's block map at
+the observed ``next_pc`` and runs the successor directly, never
+returning to the dispatch loop; only a miss goes through
+:meth:`TranslationCache.mem_block`/:meth:`~TranslationCache.mram_block`,
+which compiles it.  The block map holds only valid blocks, so a chain
+can never reach evicted code.  Only branch/jal/jalr terminators are
+chainable: every other terminator (CSR, SYSTEM, Metal transitions,
+architectural-feature instructions) can move an invariant the chain
+was built under (interrupt enables, translation, interception,
+halt/wfi), so those always return to the dispatcher.
 
-Two block namespaces, one per fetch source, share one compiler, one
-chainer and one MJIT entry point; each block records its namespace in
+Two block namespaces, one per fetch source, share one compiler and one
+MJIT entry point; each block records its namespace in
 ``Block.ns``:
 
 * ``mem`` — normal-mode code fetched from main memory.  Blocks are valid
@@ -63,11 +58,10 @@ paging enabled            mem blocks bypassed at dispatch (no eviction
 snapshot restore          full flush (RAM bytes replaced wholesale)
 ========================  =============================================
 
-Superblock chains participate implicitly: every eviction path above marks
-the victim blocks ``valid = False`` *before* dropping them, and every
-chain traversal re-checks the successor's ``valid`` flag (plus the
-observed next pc), so an evicted successor breaks the link rather than
-executing stale code.
+Superblock chains participate implicitly: every eviction path above
+removes the victim blocks from their namespace's block map (marking
+them ``valid = False`` for any executor still running one), and chains
+only ever reach blocks through that map.
 """
 
 from __future__ import annotations
@@ -114,18 +108,11 @@ _CHAIN_CLASSES = frozenset((
 ))
 
 
-#: Polymorphic chain capacity: the MRU ``link`` slot plus up to
-#: ``LINKS_MAX - 1`` secondary targets in :attr:`Block.links`.  Four
-#: targets cover the alternating-branch / small-switch cases the
-#: monomorphic slot thrashed on without growing every block.
-LINKS_MAX = 4
-
-
 class Block:
-    """One predecoded basic block (plus its superblock chain links)."""
+    """One predecoded basic block."""
 
-    __slots__ = ("ns", "start", "end", "entries", "valid",
-                 "chainable", "link", "link_pc", "links", "jit_fn")
+    __slots__ = ("ns", "start", "end", "entries", "valid", "chainable",
+                 "jit_fn")
 
     def __init__(self, ns: str, start: int, end: int, entries,
                  chainable: bool = False):
@@ -136,24 +123,11 @@ class Block:
         self.valid = True
         #: MJIT-compiled function for this block, or None until its
         #: first dispatch through the batched fast loop.  Every eviction
-        #: path that clears ``valid`` also drops this, exactly as it
-        #: severs chain links.
+        #: path that clears ``valid`` also drops this.
         self.jit_fn = None
         #: Whether the block's exit is eligible for chaining (branch/jal/
         #: jalr terminator, or the fall-through of a length-limited block).
         self.chainable = chainable
-        #: Most-recently-used chained successor block and the guest pc the
-        #: link is valid for.  Both are installed on first traversal and
-        #: re-validated against the observed next pc every time the link
-        #: is followed.
-        self.link = None
-        self.link_pc = None
-        #: Secondary chain targets, MRU-first: a list of ``(pc, Block)``
-        #: pairs (or None until first needed).  Together with the ``link``
-        #: slot this forms a small LRU target map so alternating-target
-        #: branches stop relinking on every flip; capped at
-        #: ``LINKS_MAX - 1`` entries.
-        self.links = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -234,7 +208,7 @@ class TranslationCache:
     def __init__(self, stats):
         self.stats = stats
         #: Optional profiling sink (repro.profile.sink.TraceEventSink).
-        #: When attached, compile/invalidate/flush/chain-break events are
+        #: When attached, compile/jit_compile/invalidate/flush events are
         #: reported for the exported timeline; ``None`` costs nothing on
         #: the hot paths (checked only on the cold branches).
         self.sink = None
@@ -389,104 +363,22 @@ class TranslationCache:
         MJIT guard elision in the mram namespace."""
         return self._proven_pcs
 
+    def block_map(self, ns: str) -> dict:
+        """Namespace *ns*'s block map (start pc -> Block).  It holds
+        only valid blocks and keeps its identity for the cache's
+        lifetime, so the engine binds it once per dispatch to chain."""
+        return self._mram if ns == "mram" else self._mem
+
     def tier_of(self, ns: str, pc: int):
         """Execution tier of the cached block headed at *pc*: ``"jit"``
         once MJIT has compiled it, ``"guarded"`` while only the guarded
         per-entry loop has run it, or ``None`` when nothing is cached
         there.  Used by the MPROF hot-trace report to label traces with
         the tier that executed them."""
-        table = self._mem if ns == "mem" else self._mram
-        block = table.get(pc)
+        block = self.block_map(ns).get(pc)
         if block is None or not block.valid:
             return None
         return "jit" if block.jit_fn is not None else "guarded"
-
-    # ------------------------------------------------------------------
-    # superblock chaining
-    # ------------------------------------------------------------------
-    def chain_next(self, block, next_pc: int, src):
-        """Follow (or install) *block*'s chain link toward *next_pc*.
-
-        Returns the successor block in *block*'s namespace (*src* is the
-        bus for ``mem`` blocks, the MRAM for ``mram`` ones), or ``None``
-        when the target cannot be translated.  The chain slot is a small
-        LRU target map (the MRU ``link``/``link_pc`` pair plus up to
-        three secondaries in ``links``), so a branch that alternates
-        between a handful of targets keeps every successor linked
-        instead of relinking on each flip.  A stale entry — successor
-        evicted, or the observed target absent from the map — is severed
-        and re-resolved through the namespace's block lookup, so a chain
-        can never reach stale code.
-        """
-        link = block.link
-        if link is not None and block.link_pc == next_pc and link.valid:
-            self.stats.chain_hits += 1
-            return link
-        nxt = self._chain_alt(block, next_pc)
-        if nxt is not None:
-            return nxt
-        if next_pc % 4:
-            return None
-        lookup = self.mram_block if block.ns == "mram" else self.mem_block
-        nxt = lookup(next_pc, src)
-        if nxt is not None:
-            self._chain_install(block, next_pc, nxt)
-        return nxt
-
-    def _chain_alt(self, block, next_pc: int):
-        """Resolve *next_pc* through the secondary target map.
-
-        Returns the (validated and MRU-promoted) successor on a
-        polymorphic hit, or ``None`` — after accounting the miss as a
-        chain break when the map held any entry for the edge.
-        """
-        stats = self.stats
-        alts = block.links
-        hit = None
-        if alts:
-            for i, (pc, candidate) in enumerate(alts):
-                if pc == next_pc:
-                    del alts[i]
-                    if candidate.valid:
-                        hit = candidate
-                    break
-        if hit is None:
-            # Genuine miss: evicted successor or a target the map has
-            # never seen.  Severing the MRU slot (the historical
-            # monomorphic behaviour) is only needed when it was the
-            # stale entry; map misses leave the other targets linked.
-            link = block.link
-            if link is not None and block.link_pc == next_pc:
-                block.link = None
-                stats.chain_breaks += 1
-            elif link is not None or alts:
-                stats.chain_breaks += 1
-            else:
-                return None
-            if self.sink is not None:
-                self.sink.tcache_event("chain_break", block.ns, block.start)
-            return None
-        self._chain_promote(block, next_pc, hit)
-        stats.chain_hits += 1
-        stats.chain_poly_hits += 1
-        return hit
-
-    def _chain_promote(self, block, next_pc: int, nxt) -> None:
-        """Make *nxt* the MRU entry, demoting the previous MRU into the
-        secondary map (dropping it if evicted)."""
-        prev, prev_pc = block.link, block.link_pc
-        block.link = nxt
-        block.link_pc = next_pc
-        if prev is not None and prev.valid and prev_pc != next_pc:
-            alts = block.links
-            if alts is None:
-                alts = block.links = []
-            alts.insert(0, (prev_pc, prev))
-            del alts[LINKS_MAX - 1:]
-
-    def _chain_install(self, block, next_pc: int, nxt) -> None:
-        self._chain_promote(block, next_pc, nxt)
-        self.stats.chain_links += 1
 
     # ------------------------------------------------------------------
     # invalidation
@@ -530,9 +422,8 @@ class TranslationCache:
     def _drop_all(self, ns: str, table: dict) -> None:
         """Invalidate and forget every block of namespace *ns*.
 
-        Blocks are marked invalid (not just unreachable) so chain links
-        held by surviving predecessors can never be followed into the
-        dropped code.
+        Blocks are marked invalid (not just unreachable) so an executor
+        still running one escapes before its next stale entry.
         """
         if not table:
             return

@@ -15,9 +15,10 @@ defaults model a small in-order 5-stage core:
   instead, the ablation for that optimization.
 * A trap (baseline machine) flushes the pipeline (``trap_flush``) and then
   fetches the handler from memory through the normal I-path.
-* ``palcode_call_overhead`` configures the PALcode-style machine: a fixed
-  entry microsequence charged on every routine call, calibrated so a no-op
-  call lands near the ~18 cycles the paper quotes for Alpha.
+* The PALcode-style machine is this model with overrides, set by
+  :func:`repro.machine.builder.palcode_timing`: no decode-stage
+  replacement, ``transition_redirect=7`` and ``mram_fetch=3``, so a warm
+  no-op call lands on the ~18 cycles the paper quotes for Alpha.
 """
 
 from __future__ import annotations
@@ -36,6 +37,13 @@ CONTROL_PENALTY = {
     "mraise": "jump_penalty",
 }
 
+#: Execute-stage extra cycles of each M-extension (``MULDIV``-class)
+#: mnemonic, named by the :class:`TimingModel` attribute that holds them.
+MULDIV_EXTRA = {
+    **dict.fromkeys(("mul", "mulh", "mulhsu", "mulhu"), "mul_extra"),
+    **dict.fromkeys(("div", "divu", "rem", "remu"), "div_extra"),
+}
+
 
 @dataclass
 class TimingModel:
@@ -49,8 +57,6 @@ class TimingModel:
     # Execute
     mul_extra: int = 2             # beyond the base cycle
     div_extra: int = 15
-    csr_extra: int = 0
-    metal_arch_extra: int = 0      # mtlbw/mpld/... are single-cycle ops
 
     # Control flow (predict-not-taken 5-stage)
     jump_penalty: int = 1          # jal/jalr target known in ID
@@ -67,10 +73,6 @@ class TimingModel:
     # Trap architecture (baseline machine)
     trap_flush: int = 4            # drain a 5-stage pipeline
     mret_penalty: int = 2
-
-    # PALcode-style machine: fixed entry/exit microsequence.
-    palcode_entry: int = 8
-    palcode_exit: int = 6
 
     # WFI polling granularity (simulation detail, not architectural).
     wfi_stride: int = 8

@@ -10,8 +10,8 @@ Two output formats over the same recorded data:
   terminal.
 * :func:`chrome_trace` — a Chrome-trace / Perfetto ``traceEvents`` JSON
   payload: one complete ("X") event per retired-trace ring record, one
-  instant ("i") event per translation-cache event (compiles,
-  invalidations, flushes, chain breaks).  Load it at ``ui.perfetto.dev``
+  instant ("i") event per translation-cache event (compiles, MJIT
+  compiles, invalidations, flushes).  Load it at ``ui.perfetto.dev``
   or ``chrome://tracing``.
 
 :func:`validate_chrome_trace` checks a payload against the subset of the

@@ -10,8 +10,8 @@ away.  :class:`TraceEventSink` is the near-zero-overhead receiver for it:
 * **per-trace aggregates** keyed by ``(namespace, head pc)`` — hit count,
   instructions, chain-length total and cycle total — the table the
   hot-trace report and the metrics registry read;
-* a bounded log of **translation-cache events** (compiles,
-  invalidations, flushes, chain breaks) reported by
+* a bounded log of **translation-cache events** (compiles, MJIT
+  compiles, invalidations, flushes) reported by
   :class:`repro.cpu.tcache.TranslationCache` for the exported timeline.
 
 The sink is strictly host-side and read-only with respect to the guest:
@@ -126,8 +126,8 @@ class TraceEventSink:
             agg[3] += cycles
 
     def tcache_event(self, kind: str, ns: str, pc: int, count: int = 1) -> None:
-        """Record one translation-cache event (compile / invalidate /
-        flush / chain_break).  Bounded at the ring capacity; overflow is
+        """Record one translation-cache event (compile / jit_compile /
+        invalidate / flush).  Bounded at the ring capacity; overflow is
         counted, not silently dropped."""
         events = self._events
         if len(events) >= self.capacity:

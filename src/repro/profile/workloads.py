@@ -5,11 +5,10 @@ benchmark share.
 Each workload is a (program source, Metal image, boot setup) triple with
 a documented shape — tcache best case, Metal-transition stress, chain
 stress, and so on — so a profile of one is comparable across PRs and
-across the CLI/benchmark boundary.  ``poly_branch`` is the polymorphic
-chainer's showcase: its hot block exits through a conditional branch
-whose target alternates every iteration, which the monomorphic
-single-slot chainer of PR 2 relinked on every flip and the LRU target
-map keeps fully linked.
+across the CLI/benchmark boundary.  ``poly_branch`` is the chainer's
+polymorphic case: its hot block exits through a conditional branch
+whose target alternates every iteration, and both successors are
+found in the block map, so the loop never returns to the run loop.
 
 This module is intentionally *not* imported from
 ``repro.profile.__init__`` — it builds machines, and the machine
@@ -162,10 +161,10 @@ def _poly_branch(iters: int) -> str:
     """A data-dependent branch whose target flips every iteration.
 
     The ``loop`` head block exits through ``beqz`` toward ``even`` on
-    half the iterations and falls through to ``odd`` on the other half:
-    a monomorphic chain slot breaks and relinks on *every* iteration,
-    while the LRU target map keeps both successors linked (observable as
-    ``chain_poly_hits`` with near-zero ``chain_breaks``)."""
+    half the iterations and falls through to ``odd`` on the other half.
+    The chainer probes the block map at whichever target was taken, so
+    every flip stays inside one dispatch (observable as tcache ``hits +
+    misses`` staying within a few of ``blocks_compiled``)."""
     return f"""
 _start:
     li t0, {iters}

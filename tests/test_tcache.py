@@ -382,9 +382,10 @@ hop:
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_chained_successor_evicted_mid_run(engine):
-    """Evicting the *successor* of a chained pair mid-run must break the
-    link: the predecessor's next traversal has to re-dispatch and see the
-    patched code, with identical results to the tcache-off run."""
+    """Evicting the *successor* of a chained pair mid-run must take it
+    out of the block map: the predecessor's next transition has to
+    compile the patched code, with identical results to the tcache-off
+    run."""
     new_word = _word_of("addi a0, a0, 100")
     outcomes = {}
     for tcache in TCACHE:
@@ -402,8 +403,14 @@ def test_chained_successor_evicted_mid_run(engine):
         if tcache and engine == "functional":
             stats = machine.perf.tcache
             assert stats.chain_hits > 0
-            assert stats.chain_breaks >= 1, (
-                "evicting a chained successor must sever the link"
+            assert stats.invalidations >= 1, (
+                "the cross-page SMC store must evict the chained successor"
+            )
+            # The block now cached at hop was compiled after the
+            # eviction: it holds the patched instruction.
+            hop = machine.sim.tcache.block_map("mem")[0x2000]
+            assert hop.entries[0][0].imm == 100, (
+                "evicted successor was not compiled again"
             )
     assert outcomes[True] == outcomes[False]
 

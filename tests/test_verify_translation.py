@@ -27,6 +27,9 @@ from repro import build_metal_machine
 from repro.errors import ExecutionLimitExceeded
 from repro.cpu import alu, jit
 from repro.cpu import tcache as tcache_mod
+from repro.cpu.timing import MULDIV_EXTRA
+from repro.isa.instruction import InstrClass
+from repro.isa.opcodes import SPECS
 from repro.machine.builder import MachineConfig
 from repro.verify.corpus import validate_corpus
 from repro.verify.model import render_summary
@@ -201,3 +204,7 @@ def test_every_alu_mnemonic_has_semantics():
     assert set(IMM_SEM) == set(alu.IMM_OPS)
     assert set(REG_SEM) | MULDIV == set(alu.REG_OPS)
     assert set(BRANCH_SEM) == set(alu.BRANCH_OPS)
+    # The one extra-cycle table the timers and MJIT read covers exactly
+    # the M extension.
+    assert set(MULDIV_EXTRA) == {
+        m for m, spec in SPECS.items() if spec.cls is InstrClass.MULDIV}
