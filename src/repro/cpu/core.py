@@ -62,9 +62,6 @@ class CpuCore:
     # ------------------------------------------------------------------
     # registers
     # ------------------------------------------------------------------
-    def rget(self, index: int) -> int:
-        return self.regs[index]
-
     def rset(self, index: int, value: int) -> None:
         if index:
             self.regs[index] = value & 0xFFFFFFFF

@@ -77,18 +77,9 @@ class Nic(MmioDevice):
         heapq.heappush(self._schedule, (arrival_cycle, self._seq, bytes(payload)))
         self._seq += 1
 
-    def schedule_batch(self, arrivals) -> None:
-        """Queue many ``(cycle, payload)`` pairs."""
-        for cycle, payload in arrivals:
-            self.schedule_packet(cycle, payload)
-
     @property
     def queued(self) -> int:
         return len(self._rx)
-
-    @property
-    def undelivered(self) -> int:
-        return len(self._rx) + len(self._schedule)
 
     # -- fault injection (repro.fault) --------------------------------------
     def inject_rx_drop(self) -> bool:

@@ -28,7 +28,7 @@ the matched instruction in normal mode.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from repro.errors import ReproError
 
@@ -365,8 +365,3 @@ def run_with_fault(machine, spec: FaultSpec, budget: int) -> FireReport:
         return report
 
     raise ReproError(f"unknown trigger kind {trig.kind!r}")
-
-
-def with_trigger(spec: FaultSpec, trigger: Trigger) -> FaultSpec:
-    """A copy of *spec* with a different trigger (test convenience)."""
-    return replace(spec, trigger=trigger)

@@ -90,11 +90,6 @@ class Instruction:
         """Execution class of this instruction."""
         return self.spec.cls
 
-    @property
-    def is_metal(self) -> bool:
-        """True for any Metal-extension instruction."""
-        return self.spec.cls in (InstrClass.METAL, InstrClass.METAL_ARCH)
-
     def __str__(self) -> str:
         from repro.isa.disasm import format_instruction
 

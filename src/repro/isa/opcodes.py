@@ -213,8 +213,3 @@ TABLE1_SEMANTICS = {
     "mld": "Load a word from the MRAM data segment.",
     "mst": "Store a word to the MRAM data segment.",
 }
-
-
-def spec_for(mnemonic: str) -> InstrSpec:
-    """Return the :class:`InstrSpec` row for *mnemonic* (KeyError if none)."""
-    return SPECS[mnemonic]

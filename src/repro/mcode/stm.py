@@ -467,10 +467,6 @@ class StmHost:
     def read_set_size(self) -> int:
         return self._data_word(OFF_RS_COUNT)
 
-    @property
-    def write_set_size(self) -> int:
-        return self._data_word(OFF_WS_COUNT)
-
     def remote_write(self, addr: int, value: int) -> None:
         """Simulate a conflicting writer on another core: write memory and
         bump the stripe version past the current clock."""

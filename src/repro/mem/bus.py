@@ -132,9 +132,3 @@ class MemoryBus:
         """Advance all attached devices by *cycles*."""
         for device in self.devices:
             device.tick(cycles)
-
-    def pending_irqs(self):
-        """Yield (line_index, device) for devices asserting interrupts."""
-        for i, device in enumerate(self.devices):
-            if device.irq_pending():
-                yield i, device

@@ -21,7 +21,7 @@ to retry instead, the handler copies m30 to m31 after disabling the rule).
 from __future__ import annotations
 
 from repro.errors import InterceptError
-from repro.isa.metal_ops import InterceptSpec, unpack_intercept_spec
+from repro.isa.metal_ops import unpack_intercept_spec
 
 #: CAM capacity — mirrors a small hardware structure, and is what the
 #: synthesis model charges for.
@@ -71,14 +71,6 @@ class InterceptTable:
         self._rules.pop(spec.key, None)
         self._note_transition(was_empty)
 
-    def enable_spec(self, spec: InterceptSpec, entry: int) -> None:
-        """Install a rule from an already-built :class:`InterceptSpec`."""
-        if spec.key not in self._rules and len(self._rules) >= self.slots:
-            raise InterceptError(f"intercept CAM full ({self.slots} slots)")
-        was_empty = not self._rules
-        self._rules[spec.key] = (spec, entry)
-        self._note_transition(was_empty)
-
     def clear(self) -> None:
         was_empty = not self._rules
         self._rules.clear()
@@ -99,10 +91,6 @@ class InterceptTable:
         was_empty = not self._rules
         self._rules = dict(rules)
         self._note_transition(was_empty)
-
-    @property
-    def active_rules(self) -> int:
-        return len(self._rules)
 
     @property
     def empty(self) -> bool:

@@ -66,10 +66,3 @@ class MRoutine:
             raise MroutineLoadError(
                 f"{self.name}: data_init longer than declared data_words"
             )
-
-    @property
-    def size_words(self) -> int:
-        """Code length in words (available after loading)."""
-        if self.code_words is None:
-            raise MroutineLoadError(f"{self.name}: not loaded yet")
-        return len(self.code_words)

@@ -122,12 +122,6 @@ class Tlb:
         return (entry.ppn << PAGE_SHIFT) | (va & ((1 << PAGE_SHIFT) - 1))
 
     # ------------------------------------------------------------------
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.protection_faults = 0
-        self.key_faults = 0
-
     def __len__(self) -> int:
         return len(self.entries)
 

@@ -93,13 +93,6 @@ class JobSpec:
         return asdict(self)
 
 
-def workload_names() -> tuple:
-    """The six named MPROF workloads the server accepts."""
-    from repro.profile.workloads import WORKLOADS
-
-    return tuple(WORKLOADS)
-
-
 def parse_request(body: dict, job_id: str,
                   default_budget: int = DEFAULT_BUDGET) -> JobSpec:
     """Validate a ``POST /run`` body into a :class:`JobSpec`.

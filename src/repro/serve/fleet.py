@@ -69,6 +69,8 @@ class _Job:
     preemptions: int = 0
     migrations: int = 0
     last_shard: object = None
+    #: Whether the job's first quantum restored a pool snapshot.
+    warm: bool = False
     submitted: float = field(default_factory=perf_counter)
 
 
@@ -224,7 +226,8 @@ class Fleet:
         if not response["resumed"]:
             # Resumed quanta restore a job capsule, not a pool entry —
             # they stay out of the warm/cold setup comparison.
-            if response["warm"]:
+            job.warm = response["warm"]
+            if job.warm:
                 totals["warm_starts"] += 1
                 totals["warm_setup_seconds"] += response["setup_seconds"]
             else:
@@ -334,7 +337,7 @@ def _response_payload(job: _Job, response: dict) -> dict:
         "workload": (job.spec.name if job.spec.kind == "workload" else None),
         "label": (job.spec.name if job.spec.kind == "source" else None),
         "shard": response["shard"],
-        "warm": response["warm"] and job.preemptions == 0,
+        "warm": job.warm,
         "preemptions": job.preemptions,
         "migrations": job.migrations,
         "setup_seconds": response["setup_seconds"],

@@ -9,7 +9,7 @@ A shard owns real simulation state and *keeps* it between requests:
   request for a config pays the full boot (build machine, load
   mroutines + MAS analysis, assemble, load — the *cold* path); every
   later request restores the pooled snapshot instead (*warm*), which
-  the serving benchmark shows is well over 2x faster.
+  builds no machine, assembles nothing and loads no mroutines.
 
 Execution is **preemptive**: each dispatch runs at most one *quantum*
 of instructions through the engines' exact-budget stepping.  A job that

@@ -45,10 +45,6 @@ def sym(name: str):
     return ("s", name)
 
 
-def is_sym(e) -> bool:
-    return isinstance(e, tuple) and len(e) == 2 and e[0] == "s"
-
-
 # ---------------------------------------------------------------------------
 # linear arithmetic
 # ---------------------------------------------------------------------------

@@ -332,6 +332,19 @@ def test_default_machine_runs_fast_loop_only_as_compiled_code():
     assert tc.denied["jit_off"] == 0
 
 
+def test_benchmark_workloads_run_as_compiled_code(workload_run):
+    """On the cache-less benchmark machine MJIT code runs at least 90%
+    of the tight loop's block path, and every instruction of
+    ``mcode_heavy``, its mroutine's included, retires through the fast
+    loop."""
+    _, tight = workload_run("tight_loop")
+    assert tight.jit_dispatch_share >= 0.90, (
+        f"tight-loop MJIT dispatch share {tight.jit_dispatch_share:.1%}")
+    result, mcode = workload_run("mcode_heavy")
+    assert mcode.fast_loop_instructions == result.instructions, (
+        f"denied: {dict(mcode.denied)}")
+
+
 def _run_state(machine, source):
     r = machine.load_and_run(source, base=CODE_BASE)
     mram = machine.core.metal.mram.data if machine.core.metal else b""

@@ -15,6 +15,7 @@ The load-bearing properties:
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 
@@ -146,6 +147,48 @@ class TestGuestInvisibility:
         m2 = _machine()
         m2.load_and_run(LOOP % 2000)
         assert m2.perf.tcache.chain_longest > quantum
+
+
+class TestOverheadBound:
+    def test_tight_loop_records_bounded_by_chain_quantum(self):
+        """The profiler's cost is counted, not timed: on ``tight_loop``
+        it writes one trace record per dispatch, never one per
+        instruction, and dispatches at most once more per
+        ``PROFILE_CHAIN_QUANTUM`` chained transitions than the run
+        with profiling off (docs/PROFILING.md derives the 15% overhead
+        bound from this count)."""
+        from repro.profile.workloads import build_workload, workload_source
+
+        source = workload_source("tight_loop", 20_000)
+        m_off = build_workload("tight_loop")
+        off = m_off.load_and_run(source)
+        m_on = build_workload("tight_loop")
+        sink = m_on.set_profiling(True)
+        calls = {"note_trace": 0, "dispatch": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        sink.note_trace = counted("note_trace", sink.note_trace)
+        m_on.sim._exec_block = counted("dispatch", m_on.sim._exec_block)
+        on = m_on.load_and_run(source)
+        assert _arch_state(m_on) == _arch_state(m_off)
+        assert (on.instructions, on.cycles) == (off.instructions, off.cycles)
+
+        records = sink.total_traces
+        assert calls["note_trace"] == calls["dispatch"] == records
+        recorded = sum(agg.instructions for agg in sink.hot_traces())
+        assert recorded == on.instructions
+        stats = m_off.perf.tcache
+        quantum = m_on.sim.PROFILE_CHAIN_QUANTUM
+        bound = (stats.hits + stats.misses
+                 + math.ceil(stats.chain_hits / quantum))
+        assert records <= bound, (
+            f"{records} trace records > {bound} for "
+            f"{stats.chain_hits} chained transitions")
 
 
 class TestRegistry:

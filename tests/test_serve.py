@@ -78,13 +78,46 @@ def test_warm_start_digest_matches_fresh_boot(name):
 
 def test_warm_start_is_faster_on_average():
     """Amortized over a few runs, restore beats boot (asserted loosely
-    here; the >=2x acceptance bar is enforced by benchmarks/bench_serve)."""
+    here; test_warm_start_skips_boot_work counts what a warm start
+    leaves out)."""
     spec = workload_spec("mcode_heavy")
     worker = ShardWorker("w0")
     cold = run_once(worker, spec)
     warms = [run_once(worker, spec) for _ in range(3)]
     best_warm = min(r["setup_seconds"] for r in warms)
     assert best_warm < cold["setup_seconds"]
+
+
+def test_warm_start_skips_boot_work(monkeypatch):
+    """A warm start builds no machine, assembles nothing and loads no
+    mroutines: it only restores the pooled boot snapshot."""
+    import repro.machine.builder as builder
+    import repro.machine.machine as machine_mod
+
+    calls = {"build": 0, "assemble": 0, "load_mroutines": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(machine_mod.Machine, "__init__",
+                        counted("build", machine_mod.Machine.__init__))
+    monkeypatch.setattr(machine_mod, "assemble",
+                        counted("assemble", machine_mod.assemble))
+    monkeypatch.setattr(builder, "load_mroutines",
+                        counted("load_mroutines", builder.load_mroutines))
+    spec = workload_spec("mcode_heavy")
+    worker = ShardWorker("w0")
+    cold = run_once(worker, spec)
+    assert cold["warm"] is False
+    assert calls == {"build": 1, "assemble": 1, "load_mroutines": 1}
+    for _ in range(2):
+        warm = run_once(worker, spec)
+        assert warm["warm"] is True
+        assert warm["result"]["digest_sha"] == cold["result"]["digest_sha"]
+    assert calls == {"build": 1, "assemble": 1, "load_mroutines": 1}
 
 
 def test_pool_eviction_caps_resident_machines():
@@ -373,6 +406,46 @@ def test_fleet_digest_stable_under_preemption(fleet):
     shas = {f.result(timeout=120)["result"]["digest_sha"] for f in futs}
     assert len(shas) == 1
     assert fleet.metrics()["requests"]["preemptions"] > 0
+
+
+def test_fleet_warm_responses_match_metrics(fleet):
+    """A job whose first quantum restored a pool snapshot reports
+    ``warm`` even when it was preempted later: the warm responses
+    equal the fleet's ``warm_starts``."""
+    responses = [
+        fleet.submit(workload_spec("mcode_heavy", job_id=f"w-{i}"))
+        .result(timeout=120)
+        for i in range(4)]
+    requests = fleet.metrics()["requests"]
+    assert all(r["preemptions"] > 0 for r in responses)
+    assert requests["warm_starts"] > 0
+    assert sum(r["warm"] for r in responses) == requests["warm_starts"]
+
+
+def test_process_fleet_serves_warm_preempted_golden_jobs():
+    """A 2-process-shard fleet: sequential ``mcode_heavy`` jobs cross
+    both shards through preemption, later jobs start warm, and every
+    digest equals a run on a machine that ran alone."""
+    spec = workload_spec("mcode_heavy")
+    golden = run_once(ShardWorker("golden"), spec)["result"]["digest_sha"]
+    fl = Fleet(FleetConfig(shards=2, mode="process", quantum=2_000)).start()
+    try:
+        responses = [
+            fl.submit(workload_spec("mcode_heavy", job_id=f"p-{i}"))
+            .result(timeout=120)
+            for i in range(4)]
+        metrics = fl.metrics()
+    finally:
+        fl.stop()
+    assert [r["status"] for r in responses] == ["ok"] * 4
+    assert {r["result"]["digest_sha"] for r in responses} == {golden}
+    requests = metrics["requests"]
+    assert requests["failed"] == 0
+    assert requests["preemptions"] > 0
+    assert requests["warm_starts"] > 0
+    shards_used = {key.partition("/")[0]
+                   for key in metrics["fleet_snapshot"]["counters"]}
+    assert shards_used == {"0", "1"}
 
 
 def test_fleet_stop_fails_pending_futures():

@@ -334,3 +334,17 @@ next:
         f"three-target jalr returning to run(): {stats.hits} hits + "
         f"{stats.misses} misses for {stats.blocks_compiled} compiled blocks"
     )
+
+
+def test_benchmark_workloads_stay_chained(workload_run):
+    """The profile workloads chain: ``tight_loop`` and
+    ``chain_trampoline`` make chained transitions, and ``poly_branch``
+    follows every target flip inside its dispatch, so beyond each
+    block's one compile ``run()`` looks a block up at most 8 times."""
+    for name in ("tight_loop", "chain_trampoline"):
+        _, stats = workload_run(name)
+        assert stats.chain_hits > 0, f"{name}: chaining never engaged"
+    _, poly = workload_run("poly_branch")
+    assert poly.hits + poly.misses <= poly.blocks_compiled + 8, (
+        f"poly_branch returning to run(): {poly.hits} hits + "
+        f"{poly.misses} misses for {poly.blocks_compiled} compiled blocks")

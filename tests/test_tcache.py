@@ -13,6 +13,7 @@ import pytest
 
 from repro import MRoutine, assemble, build_metal_machine, build_trap_machine
 from repro.cpu.exceptions import Cause
+from repro.profile.workloads import WORKLOADS
 
 ENGINES = ("functional", "pipeline")
 TCACHE = (True, False)
@@ -277,6 +278,23 @@ def test_plain_workload_identical(engine):
                              tuple(machine.core.regs))
     for name in ("metal", "trap"):
         assert outcomes[(name, True)] == outcomes[(name, False)]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_benchmark_workload_identical_across_modes(workload_run, name):
+    """Every profile workload retires the same instructions and cycles
+    with the tcache off, with MJIT off and with MJIT on (the default)."""
+    ref, _ = workload_run(name, "tcache_off")
+    for mode in ("tcache_nojit", "tcache"):
+        result, _ = workload_run(name, mode)
+        assert (result.instructions, result.cycles) == (
+            ref.instructions, ref.cycles), f"{name}/{mode}"
+
+
+def test_tight_loop_hit_rate(workload_run):
+    """At least 90% of the tight loop's block dispatches hit."""
+    _, stats = workload_run("tight_loop")
+    assert stats.hit_rate >= 0.90, f"hit rate {stats.hit_rate:.1%}"
 
 
 @pytest.mark.parametrize("engine", ENGINES)
