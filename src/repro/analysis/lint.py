@@ -143,19 +143,11 @@ APPS = {
 
 
 def _builtin_symbols() -> dict:
-    """The symbol environment mcode is assembled against by the machine
-    builder (mirrors ``Machine.reload_mroutines``)."""
-    from repro.cpu.csr import CSR_SYMBOLS
-    from repro.cpu.exceptions import CAUSE_SYMBOLS
-    from repro.machine.builder import DEVICE_SYMBOLS
-    from repro.mcode.pagetable import PTE_SYMBOLS
-    from repro.mcode.runtime import PRIV_SYMBOLS
+    """The symbol environment boot and ``Machine.reload_mroutines``
+    assemble mcode against: the builder's ``MCODE_SYMBOLS`` itself."""
+    from repro.machine.builder import MCODE_SYMBOLS
 
-    env = {}
-    for table in (CAUSE_SYMBOLS, CSR_SYMBOLS, DEVICE_SYMBOLS,
-                  PTE_SYMBOLS, PRIV_SYMBOLS):
-        env.update(table)
-    return env
+    return dict(MCODE_SYMBOLS)
 
 
 # ---------------------------------------------------------------------------

@@ -507,8 +507,14 @@ class Assembler:
             target = value(chunks[1])
             return Instruction(mnemonic, rd=reg(chunks[0]), imm=target - pc, spec=spec)
         if pattern == "rd,uimm":
+            # The operand is the 20-bit field; Instruction.imm holds it
+            # shifted into place, as the decoder produces it.
             expect(2)
-            return Instruction(mnemonic, rd=reg(chunks[0]), imm=value(chunks[1]), spec=spec)
+            field = value(chunks[1])
+            if not 0 <= field <= 0xFFFFF:
+                err(f"upper immediate out of range 0..0xfffff: {field:#x}")
+            return Instruction(mnemonic, rd=reg(chunks[0]), imm=field << 12,
+                               spec=spec)
         if pattern == "rd,csr,rs1":
             expect(3)
             csr = value(chunks[1])

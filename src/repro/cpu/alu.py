@@ -1,4 +1,25 @@
-"""32-bit ALU semantics (two's complement, RV32IM rules)."""
+"""32-bit ALU semantics (two's complement, RV32IM rules).
+
+The base ALU and branch ops are stated once, below, as one Python
+expression per mnemonic over unsigned 32-bit operands ``{a}`` and
+``{b}``.  Two readers format the same expressions:
+
+* the executor calls :data:`REG_OPS`, :data:`IMM_OPS` and
+  :data:`BRANCH_OPS`, whose base entries are each an ``eval``'d
+  ``lambda a, b:`` of the expression;
+* MJIT (:mod:`repro.cpu.jit`) pastes the expression into a block's
+  source with the operands' register locals, and folds a reg-imm op's
+  normalised immediate to a literal.
+
+A reg-imm row pairs its expression with a normaliser over the signed
+immediate ``b`` (shift amounts keep their low five bits, ``slti``
+biases its operand for a signed compare); the executor inlines the
+normaliser into the lambda.  Signed views are spelled without calls:
+``x ^ 2**31`` orders like the signed value, and ``x - ((x & 2**31) << 1)``
+is it.  The M extension stays as functions, which MJIT calls by name.
+MVTV's ``uopsem`` states these semantics again, independently, to check
+them (docs/VALIDATION.md).
+"""
 
 from __future__ import annotations
 
@@ -6,45 +27,53 @@ from repro.isa.fields import to_signed32, u32
 
 _INT_MIN = -(1 << 31)
 
+#: Reg-reg ops: mnemonic -> expression over ``{a}`` and ``{b}``.
+REG_EXPRS = {
+    "add": "({a} + {b}) & 4294967295",
+    "sub": "({a} - {b}) & 4294967295",
+    "sll": "({a} << ({b} & 31)) & 4294967295",
+    "slt": "+(({a} ^ 2147483648) < ({b} ^ 2147483648))",
+    "sltu": "+({a} < {b})",
+    "xor": "{a} ^ {b}",
+    "srl": "{a} >> ({b} & 31)",
+    "sra": "(({a} - (({a} & 2147483648) << 1)) >> ({b} & 31)) & 4294967295",
+    "or": "{a} | {b}",
+    "and": "{a} & {b}",
+}
 
-def add(a: int, b: int) -> int:
-    return (a + b) & 0xFFFFFFFF
+#: Reg-imm ops: mnemonic -> (expression over ``{a}`` and the normalised
+#: immediate ``{b}``, normaliser over the signed immediate ``b``).
+IMM_EXPRS = {
+    "addi": ("({a} + {b}) & 4294967295", "b"),
+    "slti": ("+(({a} ^ 2147483648) < {b})", "(b & 4294967295) ^ 2147483648"),
+    "sltiu": ("+({a} < {b})", "b & 4294967295"),
+    "xori": ("{a} ^ {b}", "b & 4294967295"),
+    "ori": ("{a} | {b}", "b & 4294967295"),
+    "andi": ("{a} & {b}", "b & 4294967295"),
+    "slli": ("({a} << {b}) & 4294967295", "b & 31"),
+    "srli": ("{a} >> {b}", "b & 31"),
+    "srai": ("(({a} - (({a} & 2147483648) << 1)) >> {b}) & 4294967295",
+             "b & 31"),
+}
+
+#: Branch conditions: mnemonic -> expression over ``{a}`` and ``{b}``.
+BRANCH_EXPRS = {
+    "beq": "{a} == {b}",
+    "bne": "{a} != {b}",
+    "blt": "({a} ^ 2147483648) < ({b} ^ 2147483648)",
+    "bge": "({a} ^ 2147483648) >= ({b} ^ 2147483648)",
+    "bltu": "{a} < {b}",
+    "bgeu": "{a} >= {b}",
+}
+
+#: Compiled immediate normalisers; MJIT folds ``IMM_NORMS[m](imm)``.
+IMM_NORMS = {m: eval(f"lambda b: {norm}")
+             for m, (_, norm) in IMM_EXPRS.items()}
 
 
-def sub(a: int, b: int) -> int:
-    return (a - b) & 0xFFFFFFFF
-
-
-def sll(a: int, shamt: int) -> int:
-    return (a << (shamt & 0x1F)) & 0xFFFFFFFF
-
-
-def srl(a: int, shamt: int) -> int:
-    return (a & 0xFFFFFFFF) >> (shamt & 0x1F)
-
-
-def sra(a: int, shamt: int) -> int:
-    return u32(to_signed32(a) >> (shamt & 0x1F))
-
-
-def slt(a: int, b: int) -> int:
-    return int(to_signed32(a) < to_signed32(b))
-
-
-def sltu(a: int, b: int) -> int:
-    return int((a & 0xFFFFFFFF) < (b & 0xFFFFFFFF))
-
-
-def xor(a: int, b: int) -> int:
-    return (a ^ b) & 0xFFFFFFFF
-
-
-def or_(a: int, b: int) -> int:
-    return (a | b) & 0xFFFFFFFF
-
-
-def and_(a: int, b: int) -> int:
-    return (a & b) & 0xFFFFFFFF
+def _lambda(expr: str, b: str = "b"):
+    """``lambda a, b:`` evaluating *expr*, with ``{b}`` spelled *b*."""
+    return eval(f"lambda a, b: {expr.format(a='a', b=b)}")
 
 
 # --- M extension ------------------------------------------------------------
@@ -99,24 +128,14 @@ def remu(a: int, b: int) -> int:
     return ua % ub
 
 
-#: Dispatch tables keyed by mnemonic (shared by both engines).
-REG_OPS = {
-    "add": add, "sub": sub, "sll": sll, "slt": slt, "sltu": sltu,
-    "xor": xor, "srl": srl, "sra": sra, "or": or_, "and": and_,
+#: Dispatch tables keyed by mnemonic (the executor's; MJIT calls the
+#: M-extension entries of REG_OPS by name).
+REG_OPS = {m: _lambda(e) for m, e in REG_EXPRS.items()}
+REG_OPS.update({
     "mul": mul, "mulh": mulh, "mulhsu": mulhsu, "mulhu": mulhu,
     "div": div, "divu": divu, "rem": rem, "remu": remu,
-}
+})
 
-IMM_OPS = {
-    "addi": add, "slti": slt, "sltiu": sltu, "xori": xor,
-    "ori": or_, "andi": and_, "slli": sll, "srli": srl, "srai": sra,
-}
+IMM_OPS = {m: _lambda(e, f"({norm})") for m, (e, norm) in IMM_EXPRS.items()}
 
-BRANCH_OPS = {
-    "beq": lambda a, b: u32(a) == u32(b),
-    "bne": lambda a, b: u32(a) != u32(b),
-    "blt": lambda a, b: to_signed32(a) < to_signed32(b),
-    "bge": lambda a, b: to_signed32(a) >= to_signed32(b),
-    "bltu": lambda a, b: u32(a) < u32(b),
-    "bgeu": lambda a, b: u32(a) >= u32(b),
-}
+BRANCH_OPS = {m: _lambda(e) for m, e in BRANCH_EXPRS.items()}

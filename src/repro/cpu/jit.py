@@ -8,9 +8,14 @@ Python source at its first dispatch and ``exec``-compiled once:
 * guest registers used by the trace live in host locals, loaded from
   ``core.regs`` at entry and stored back at exit / any escape —
   a self-looping trace never touches the register file mid-flight;
-* decoded fields, immediates and ALU semantics are baked in as literal
-  expressions from the micro-op IR (:func:`repro.cpu.tcache.uop_ir`)
-  that the MVTV reference also reads, so the two cannot drift;
+* decoded fields and immediates are baked in as literals from the
+  micro-op IR (:func:`repro.cpu.tcache.uop_ir`) that the MVTV reference
+  also reads, so the two cannot drift on which entries inline;
+* the ALU and branch semantics are the expressions of
+  :mod:`repro.cpu.alu` (``REG_EXPRS``, ``IMM_EXPRS``, ``BRANCH_EXPRS``),
+  the same table the executor's ``execute()`` evaluates; MVTV's
+  ``uopsem`` restates them independently, so a wrong row is caught by
+  translation validation rather than by lockstep;
 * the invalidation / budget / chain-quantum guards are hoisted out of
   the instruction stream: plain runs carry no per-entry tests at all,
   and a trace whose terminator targets its own head internalises the
@@ -100,9 +105,9 @@ _BASE_NS = {
     "_upk": _WORD.unpack_from,
     "_pk": _WORD.pack_into,
 }
-for _name, _fn in alu.REG_OPS.items():
-    _BASE_NS["_op_" + _name] = _fn
-del _name, _fn
+for _name in MULDIV_EXTRA:
+    _BASE_NS["_op_" + _name] = alu.REG_OPS[_name]
+del _name
 
 #: Local names the generated source hoists the M-extension extra
 #: cycles into, keyed by :data:`MULDIV_EXTRA`'s timing attribute.
@@ -123,73 +128,6 @@ _PLAIN_METAL = frozenset(("rmr", "wmr", "mld", "mst"))
 def _r(n: int) -> str:
     """Source expression for guest register *n* (x0 reads are literal)."""
     return "0" if n == 0 else f"r{n}"
-
-
-def _imm_rhs(m: str, a: str, imm: int) -> str:
-    """RHS expression for a reg-imm ALU op (semantics of alu.IMM_OPS)."""
-    if m == "addi":
-        return f"({a} + {imm}) & 4294967295"
-    if m == "xori":
-        return f"{a} ^ {imm & _M}"
-    if m == "ori":
-        return f"{a} | {imm & _M}"
-    if m == "andi":
-        return f"{a} & {imm & _M}"
-    if m == "slli":
-        return f"({a} << {imm & 31}) & 4294967295"
-    if m == "srli":
-        return f"{a} >> {imm & 31}"
-    if m == "srai":
-        return (f"(({a} - (({a} & 2147483648) << 1)) >> {imm & 31})"
-                f" & 4294967295")
-    if m == "slti":
-        return f"+(({a} ^ 2147483648) < {(imm & _M) ^ 0x80000000})"
-    if m == "sltiu":
-        return f"+({a} < {imm & _M})"
-    raise KeyError(m)
-
-
-def _reg_rhs(m: str, a: str, b: str) -> str:
-    """RHS expression for a reg-reg ALU op (semantics of alu.REG_OPS)."""
-    if m == "add":
-        return f"({a} + {b}) & 4294967295"
-    if m == "sub":
-        return f"({a} - {b}) & 4294967295"
-    if m == "xor":
-        return f"{a} ^ {b}"
-    if m == "or":
-        return f"{a} | {b}"
-    if m == "and":
-        return f"{a} & {b}"
-    if m == "sll":
-        return f"({a} << ({b} & 31)) & 4294967295"
-    if m == "srl":
-        return f"{a} >> ({b} & 31)"
-    if m == "sra":
-        return (f"(({a} - (({a} & 2147483648) << 1)) >> ({b} & 31))"
-                f" & 4294967295")
-    if m == "slt":
-        return f"+(({a} ^ 2147483648) < ({b} ^ 2147483648))"
-    if m == "sltu":
-        return f"+({a} < {b})"
-    raise KeyError(m)
-
-
-def _branch_cond(m: str, a: str, b: str) -> str:
-    """Condition expression matching alu.BRANCH_OPS semantics."""
-    if m == "beq":
-        return f"{a} == {b}"
-    if m == "bne":
-        return f"{a} != {b}"
-    if m == "bltu":
-        return f"{a} < {b}"
-    if m == "bgeu":
-        return f"{a} >= {b}"
-    if m == "blt":
-        return f"({a} ^ 2147483648) < ({b} ^ 2147483648)"
-    if m == "bge":
-        return f"({a} ^ 2147483648) >= ({b} ^ 2147483648)"
-    raise KeyError(m)
 
 
 class _Codegen:
@@ -353,11 +291,12 @@ class _Codegen:
         if kind == IR_NOP:
             return  # still retired + costed via the unit batch
         if kind == IR_IMM:
-            self.emit(f"r{rd} = {_imm_rhs(m, _r(a), b)}")
+            expr = alu.IMM_EXPRS[m][0].format(a=_r(a), b=alu.IMM_NORMS[m](b))
         elif kind == IR_REG:
-            self.emit(f"r{rd} = {_reg_rhs(m, _r(a), _r(b))}")
+            expr = alu.REG_EXPRS[m].format(a=_r(a), b=_r(b))
         else:  # IR_SET
-            self.emit(f"r{rd} = {a}")
+            expr = a
+        self.emit(f"r{rd} = {expr}")
 
     def _emit_muldiv(self, instr) -> None:
         m = instr.mnemonic
@@ -459,7 +398,8 @@ class _Codegen:
     def _emit_branch(self, instr, pc: int) -> None:
         taken = (pc + instr.imm) & _M
         fall = (pc + 4) & _M
-        cond = _branch_cond(instr.mnemonic, _r(instr.rs1), _r(instr.rs2))
+        cond = alu.BRANCH_EXPRS[instr.mnemonic].format(
+            a=_r(instr.rs1), b=_r(instr.rs2))
         self.emit("retired += 1")
         self.emit(f"if {cond}:")
         self.indent += 1

@@ -116,16 +116,13 @@ def encode(instr: Instruction) -> int:
         )
 
     if fmt is Format.U:
+        # ``imm`` is the shifted value the decoder produces (the 20-bit
+        # field times 4096), never the field itself.
         imm = instr.imm
-        # Accept either a pre-shifted 32-bit value with zero low bits or a
-        # raw 20-bit field.
-        if imm & 0xFFF == 0 and imm != 0:
-            field = (imm >> 12) & 0xFFFFF
-        elif fits_unsigned(imm, 20):
-            field = imm
-        else:
-            raise EncodeError(f"{spec.mnemonic}: upper immediate out of range: {imm:#x}")
-        return (field << 12) | (rd << 7) | spec.opcode
+        if imm & 0xFFF or not -(1 << 31) <= imm <= 0xFFFFFFFF:
+            raise EncodeError(f"{spec.mnemonic}: upper immediate must be a "
+                              f"32-bit multiple of 0x1000: {imm:#x}")
+        return (imm & 0xFFFFF000) | (rd << 7) | spec.opcode
 
     if fmt is Format.J:
         imm = instr.imm

@@ -73,6 +73,20 @@ DEVICE_SYMBOLS = {
     "IRQ_LINE_CONSOLE": plic_mod.LINE_CONSOLE,
 }
 
+#: The symbol environment every mroutine is assembled against, at boot,
+#: on reload and by the MAS lint: exception causes, device registers,
+#: page-table and privilege constants.  It has no CSR numbers: a Metal
+#: machine has no CSR architecture (delegation replaces it), so mcode
+#: naming a CSR is rejected wherever it is loaded.  The loader adds each
+#: routine's ``MR_<NAME>``/``<NAME>_DATA`` on top.
+MCODE_SYMBOLS = {**CAUSE_SYMBOLS, **DEVICE_SYMBOLS, **PTE_SYMBOLS,
+                 **PRIV_SYMBOLS}
+
+#: The symbol environment guest code is assembled against (shard
+#: machines and the serving gate included): the mcode environment plus
+#: the CSR numbers the trap baseline's guests use.
+GUEST_SYMBOLS = {**MCODE_SYMBOLS, **CSR_SYMBOLS}
+
 
 @dataclass
 class MachineConfig:
@@ -138,16 +152,9 @@ def _base_machine(config: MachineConfig, metal_unit, name: str) -> Machine:
         raise ValueError(f"unknown engine {config.engine!r}")
     sim.tcache.jit = config.jit
 
-    symbols = {}
-    symbols.update(CAUSE_SYMBOLS)
-    symbols.update(CSR_SYMBOLS)
-    symbols.update(DEVICE_SYMBOLS)
-    symbols.update(PTE_SYMBOLS)
-    symbols.update(PRIV_SYMBOLS)
-    symbols.update(config.extra_symbols)
-
     return Machine(
-        core=core, simulator=sim, bus=bus, ram=ram, symbols=symbols,
+        core=core, simulator=sim, bus=bus, ram=ram,
+        symbols={**GUEST_SYMBOLS, **config.extra_symbols},
         console=console, timer=timer, nic=nic, blockdev=blockdev,
         irq=irq, name=name,
     )
@@ -157,14 +164,9 @@ def build_metal_machine(routines=(), config: MachineConfig = None,
                         mram: Mram = None, **config_kwargs) -> Machine:
     """Build the paper's Metal machine with *routines* loaded at boot."""
     config = config or MachineConfig(**config_kwargs)
-    # mroutines may name causes, device registers and each other.
-    mcode_env = {}
-    mcode_env.update(CAUSE_SYMBOLS)
-    mcode_env.update(DEVICE_SYMBOLS)
-    mcode_env.update(PTE_SYMBOLS)
-    mcode_env.update(PRIV_SYMBOLS)
-    mcode_env.update(config.extra_symbols)
-    image = load_mroutines(routines, mram=mram, extra_symbols=mcode_env)
+    image = load_mroutines(
+        routines, mram=mram,
+        extra_symbols={**MCODE_SYMBOLS, **config.extra_symbols})
     unit = MetalUnit(image)
     machine = _base_machine(config, unit, name="metal")
     machine.metal_image = image
@@ -180,13 +182,8 @@ def build_nested_metal_machine(routines=(), layer_names=("vmm", "os", "app"),
     from repro.metal.nested import NestedMetalUnit
 
     config = config or MachineConfig(**config_kwargs)
-    mcode_env = {}
-    mcode_env.update(CAUSE_SYMBOLS)
-    mcode_env.update(DEVICE_SYMBOLS)
-    mcode_env.update(PTE_SYMBOLS)
-    mcode_env.update(PRIV_SYMBOLS)
-    mcode_env.update(config.extra_symbols)
-    image = load_mroutines(routines, extra_symbols=mcode_env)
+    image = load_mroutines(
+        routines, extra_symbols={**MCODE_SYMBOLS, **config.extra_symbols})
     unit = NestedMetalUnit(image, layer_names=layer_names)
     machine = _base_machine(config, unit, name="nested-metal")
     machine.metal_image = image

@@ -99,107 +99,26 @@ def load_mroutines(routines, mram: Optional[Mram] = None,
                    verify: bool = True) -> MetalImage:
     """Assemble, verify and pack *routines* into *mram*.
 
-    Raises :class:`MroutineLoadError` (or a verifier subclass) on any
-    violation — nothing is partially loaded on failure.
+    The boot path: :func:`append_mroutines` onto an empty image whose
+    symbol environment is *extra_symbols*.  Raises
+    :class:`MroutineLoadError` (or a verifier subclass) on any violation
+    — nothing is partially loaded on failure.
     """
-    mram = mram or Mram()
-    routines = list(routines)
-    if len(routines) > MAX_MROUTINES:
-        raise MroutineLoadError(
-            f"{len(routines)} mroutines exceed the {MAX_MROUTINES}-entry table"
-        )
-
-    _check_global_constraints(routines)
-
-    # Data allocation: first-fit sequential, word aligned.
-    data_ptr = 0
-    for routine in routines:
-        routine.data_offset = data_ptr
-        data_ptr += 4 * routine.data_words
-        if data_ptr > mram.data_bytes:
-            raise MroutineLoadError(
-                f"{routine.name}: MRAM data segment exhausted "
-                f"({data_ptr} > {mram.data_bytes} bytes)"
-            )
-
-    # Shared symbol environment.
-    symbols = dict(extra_symbols or {})
-    for routine in routines:
-        symbols[f"MR_{routine.name.upper()}"] = routine.entry
-        symbols[f"{routine.name.upper()}_DATA"] = routine.data_offset
-
-    # Assemble + place + verify.
-    code_ptr = 0
-    by_name = {}
-    by_entry = {}
-    for routine in routines:
-        try:
-            program = assemble(
-                routine.source, base=code_ptr, symbols=symbols,
-                source_name=f"mroutine:{routine.name}",
-            )
-        except AsmError as exc:
-            raise MroutineLoadError(f"{routine.name}: {exc}") from exc
-        words = program.words()
-        routine.code_offset = code_ptr
-        routine.code_words = words
-        code_ptr += 4 * len(words)
-        if code_ptr > mram.code_bytes:
-            raise MroutineLoadError(
-                f"{routine.name}: MRAM code segment exhausted "
-                f"({code_ptr} > {mram.code_bytes} bytes)"
-            )
-        by_name[routine.name] = routine
-        by_entry[routine.entry] = routine
-
-    analysis = {}
-    if verify:
-        for routine in routines:
-            ranges = [_data_range(routine)]
-            for other_name in routine.shared_data:
-                other = by_name.get(other_name)
-                if other is None:
-                    raise MroutineLoadError(
-                        f"{routine.name}: shared_data names unknown routine "
-                        f"{other_name!r}"
-                    )
-                ranges.append(_data_range(other))
-            ranges = [r for r in ranges if r[0] < r[1]]
-            report = verify_or_raise(routine,
-                                     allowed_data_ranges=ranges or [(0, 0)])
-            analysis[routine.name] = report.result
-            routine.facts = report.facts
-
-    # Commit: write code and initial data.
-    for routine in routines:
-        mram.write_code(routine.code_offset, routine.code_words)
-        if routine.data_init:
-            payload = struct.pack(
-                f"<{len(routine.data_init)}I",
-                *[v & 0xFFFFFFFF for v in routine.data_init],
-            )
-            mram.write_data_bytes(routine.data_offset, payload)
-
-    return MetalImage(
-        mram=mram,
-        routines=by_name,
-        by_entry=by_entry,
-        symbols=symbols,
-        code_used_bytes=code_ptr,
-        data_used_bytes=data_ptr,
-        analysis=analysis,
-    )
+    image = MetalImage(mram=mram or Mram(), symbols=dict(extra_symbols or {}))
+    append_mroutines(image, routines, verify=verify)
+    return image
 
 
 def append_mroutines(image: MetalImage, routines, verify: bool = True) -> list:
-    """Assemble, verify and pack *routines* into an already-loaded *image*.
+    """Assemble, verify and pack *routines* into *image*.
 
-    The post-boot twin of :func:`load_mroutines` (MSYNTH installs its
-    generated routines through here).  Constraints are checked over the
-    union of existing and new routines, data/code are allocated past the
-    image's high-water marks, and the new code is assembled against the
-    image's existing symbol environment (so appended routines may call
-    ``menter MR_<EXISTING>`` or address another routine's ``_DATA``).
+    The one loader path: boot (:func:`load_mroutines`) appends onto an
+    empty image, MSYNTH appends its generated routines onto the booted
+    one.  Constraints are checked over the union of existing and new
+    routines, data/code are allocated past the image's high-water marks,
+    and the new code is assembled against the image's existing symbol
+    environment (so appended routines may call ``menter MR_<EXISTING>``
+    or address another routine's ``_DATA``).
 
     All checks, assembly and MAS verification happen before anything is
     committed: on failure nothing is partially loaded and the image is

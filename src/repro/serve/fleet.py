@@ -71,6 +71,8 @@ class _Job:
     last_shard: object = None
     #: Whether the job's first quantum restored a pool snapshot.
     warm: bool = False
+    #: That first quantum's boot or pool-restore time.
+    setup_seconds: float = 0.0
     submitted: float = field(default_factory=perf_counter)
 
 
@@ -227,6 +229,7 @@ class Fleet:
             # Resumed quanta restore a job capsule, not a pool entry —
             # they stay out of the warm/cold setup comparison.
             job.warm = response["warm"]
+            job.setup_seconds = response["setup_seconds"]
             if job.warm:
                 totals["warm_starts"] += 1
                 totals["warm_setup_seconds"] += response["setup_seconds"]
@@ -340,7 +343,7 @@ def _response_payload(job: _Job, response: dict) -> dict:
         "warm": job.warm,
         "preemptions": job.preemptions,
         "migrations": job.migrations,
-        "setup_seconds": response["setup_seconds"],
+        "setup_seconds": job.setup_seconds,
         "instructions": job.instructions_done,
     }
     if response["kind"] == "done" and response["error"] is None:

@@ -41,18 +41,10 @@ from repro.serve.api import ServeRejected, error_dict
 
 def guest_symbols() -> dict:
     """The symbol environment shard machines assemble guest code
-    against (mirrors ``repro.machine.builder._base_machine``)."""
-    from repro.cpu.csr import CSR_SYMBOLS
-    from repro.cpu.exceptions import CAUSE_SYMBOLS
-    from repro.machine.builder import DEVICE_SYMBOLS
-    from repro.mcode.pagetable import PTE_SYMBOLS
-    from repro.mcode.runtime import PRIV_SYMBOLS
+    against: the builder's ``GUEST_SYMBOLS`` itself."""
+    from repro.machine.builder import GUEST_SYMBOLS
 
-    env = {}
-    for table in (CAUSE_SYMBOLS, CSR_SYMBOLS, DEVICE_SYMBOLS,
-                  PTE_SYMBOLS, PRIV_SYMBOLS):
-        env.update(table)
-    return env
+    return dict(GUEST_SYMBOLS)
 
 
 def lint_guest_program(program, has_mroutines: bool = False,

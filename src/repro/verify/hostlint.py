@@ -29,12 +29,13 @@ without telling the translation cache:
 * any function that marks a translation block ``valid = False`` must
   also sever ``jit_fn`` so a stale compiled function can never be
   re-entered through a held reference;
-* any loader path that writes MRAM code into an *existing* image (the
-  MSYNTH append path, as opposed to the boot path that constructs a
-  fresh ``MetalImage``) must re-attach analysis results and advance the
-  image's code high-water mark in the same function — otherwise
+* any loader function that writes MRAM code into an image it did not
+  construct must re-attach analysis results and advance the image's
+  code high-water mark in the same function — otherwise
   ``proven_data_pcs()`` goes stale and the tcache's lazy re-read after
-  the ``code_version`` bump refreshes from wrong facts.
+  the ``code_version`` bump refreshes from wrong facts.  Boot and the
+  MSYNTH append share that one function, ``append_mroutines`` (boot
+  appends onto an empty image), so the rule covers both.
 
 Both lints take ``override_sources`` mapping a repo-relative path
 (under ``src/repro``) to replacement text — the mutation tests use it
@@ -458,11 +459,13 @@ def check_eviction_completeness(override_sources=None) -> list:
                     detail=f"line {ram_sites[0].lineno}",
                 ))
 
-    # Rule 4: loader paths that append code to an existing image must
-    # re-attach analysis facts and advance the code high-water mark in
-    # the same function.  The boot path is structurally exempt: it
-    # constructs a fresh MetalImage, whose constructor takes the
-    # analysis dict wholesale.
+    # Rule 4: a loader function that writes code into an image it was
+    # handed must re-attach analysis facts and advance the code
+    # high-water mark in the same function.  Boot and MSYNTH both write
+    # through append_mroutines (boot appends onto an empty image), so
+    # the rule checks both.  A function that constructs the MetalImage
+    # it writes is exempt: the constructor would take the analysis dict
+    # wholesale.
     tree = ast.parse(_source(LOADER_FILE, override_sources))
     for qualname, fn in _functions(tree):
         write_sites = [

@@ -2,8 +2,8 @@
 
 This module is the *semantic reference* side of the translation
 validator: it walks a compiled block's decoded entries — the same
-``(instr, op_fn, pc, flags, hint)`` tuples and :func:`uop_ir` results
-both execution tiers consume — and builds a :class:`Summary` of what a
+``(instr, pc, flags)`` entries and :func:`uop_ir` results both
+execution tiers consume — and builds a :class:`Summary` of what a
 correct MJIT compilation must do, using an independent transcription
 of the ISA semantics (``docs/ISA.md``), the :class:`SimpleTimer` cost
 model and the MJIT calling convention.  It never looks at the generated

@@ -145,6 +145,17 @@ _start:
 """, base=0x1000)
         assert m.reg("a0") == 0x1000
 
+    def test_lui_operand_is_the_upper_field(self, m):
+        # A 4 KiB-aligned field is still a field, not a shifted value.
+        run(m, """
+            lui  t5, 0x80000
+            lui  t6, 0x1000
+            li   t4, 0x80000000
+        """)
+        assert m.reg("t5") == 0x80000000
+        assert m.reg("t6") == 0x01000000
+        assert m.reg("t4") == 0x80000000
+
 
 class TestTrapsOnBaseline:
     def test_ecall_without_mtvec_panics(self, m):

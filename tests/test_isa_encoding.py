@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.asm import assemble
 from repro.errors import DecodeError, EncodeError
 from repro.isa import decode, encode
 from repro.isa.instruction import Instruction
@@ -92,8 +93,19 @@ class TestUJFormats:
         assert instr.imm == 0xABCDE000
 
     def test_lui_raw_field(self):
-        instr = decode(enc("lui", rd=7, imm=0xFFFFF))
+        # The raw 20-bit field is the assembly operand; Instruction.imm
+        # holds it shifted, as the decoder produces it.
+        instr = decode(assemble("lui t2, 0xFFFFF").words()[0])
         assert instr.imm == 0xFFFFF000
+
+    def test_lui_rejects_unshifted_imm(self):
+        # A bare field is not a shifted value: 0x80000 must not encode
+        # as field 0x80 (nor as field 0x80000).
+        for imm in (0xFFFFF, 0x80000 | 0x800, 0x100000000):
+            with pytest.raises(EncodeError):
+                enc("lui", rd=7, imm=imm)
+        assert decode(enc("lui", rd=7, imm=0x80000)).imm == 0x80000
+        assert decode(enc("lui", rd=7, imm=-4096)).imm == 0xFFFFF000
 
     def test_auipc(self):
         assert decode(enc("auipc", rd=3, imm=0x1000)).mnemonic == "auipc"

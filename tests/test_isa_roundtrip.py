@@ -6,7 +6,7 @@ Invariants:
 * decode -> disassemble -> assemble -> encode is the identity on words.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.asm import assemble
 from repro.isa import decode, disassemble, encode
@@ -75,6 +75,8 @@ def test_encode_decode_roundtrip(instr):
 
 
 @given(instructions())
+@example(Instruction("lui", rd=0, imm=0x1000000, spec=SPECS["lui"]))
+@example(Instruction("lui", rd=30, imm=0x80000000, spec=SPECS["lui"]))
 @settings(max_examples=400)
 def test_disassemble_assemble_roundtrip(instr):
     word = encode(instr)

@@ -152,3 +152,23 @@ _start:
     halt
 """, base=0x1000)
         assert m.reg("a0") == 3
+
+
+def test_mcode_naming_a_csr_is_rejected_by_boot_reload_and_lint():
+    """Boot, reload and the MAS lint assemble mcode in one environment,
+    which has no CSR numbers: a routine naming one fails alike in all
+    three."""
+    from repro.analysis.lint import lint_routines
+    from repro.errors import MroutineLoadError
+
+    def routines():
+        return [MRoutine(name="csr_user", entry=0,
+                         source="li t0, CSR_MTVEC\nmexit\n")]
+
+    with pytest.raises(MroutineLoadError, match="CSR_MTVEC"):
+        build_metal_machine(routines())
+    machine = build_metal_machine(NOOP)
+    with pytest.raises(MroutineLoadError, match="CSR_MTVEC"):
+        machine.reload_mroutines(routines())
+    with pytest.raises(MroutineLoadError, match="CSR_MTVEC"):
+        lint_routines(routines())

@@ -422,6 +422,22 @@ def test_fleet_warm_responses_match_metrics(fleet):
     assert sum(r["warm"] for r in responses) == requests["warm_starts"]
 
 
+def test_preempted_cold_job_reports_its_boot_setup():
+    """A preempted job's ``setup_seconds`` is its own cold boot, as
+    ``/metrics`` booked it, not the restore time of its last quantum."""
+    fl = Fleet(FleetConfig(shards=2, mode="thread", quantum=2_000)).start()
+    try:
+        response = fl.submit(workload_spec("mcode_heavy", job_id="c-0")
+                             ).result(timeout=120)
+        metrics = fl.metrics()
+    finally:
+        fl.stop()
+    assert response["status"] == "ok"
+    assert response["preemptions"] > 0 and not response["warm"]
+    assert metrics["requests"]["cold_boots"] == 1
+    assert response["setup_seconds"] == metrics["setup"]["cold_seconds_total"]
+
+
 def test_process_fleet_serves_warm_preempted_golden_jobs():
     """A 2-process-shard fleet: sequential ``mcode_heavy`` jobs cross
     both shards through preemption, later jobs start warm, and every

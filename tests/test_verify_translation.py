@@ -83,6 +83,52 @@ loop:
     halt
 """
 
+#: Every reg-reg and reg-imm ALU op (negative immediates included) and
+#: all six branches, each ending its own block.
+ALLOPS = """
+_start:
+    li s0, 6
+    li s1, -1234567
+    li s2, 0x80000001
+loop:
+    add   t0, s1, s2
+    sub   t1, s1, s2
+    sll   t2, s1, s0
+    slt   t3, s1, s2
+    sltu  t4, s1, s2
+    xor   t5, s1, s2
+    srl   t6, s1, s0
+    sra   a0, s1, s0
+    or    a1, s1, s2
+    and   a2, s1, s2
+    addi  a3, s1, -2048
+    slti  a4, s1, -5
+    sltiu a5, s1, -5
+    xori  a6, s1, -1
+    ori   a7, s1, -16
+    andi  s3, s1, -256
+    slli  s4, s1, 31
+    srli  s5, s1, 7
+    srai  s6, s1, 13
+    beq   s1, s2, b1
+b1:
+    bne   s1, s2, b2
+b2:
+    blt   s1, s2, b3
+b3:
+    bge   s1, s2, b4
+b4:
+    bltu  s1, s2, b5
+b5:
+    bgeu  s1, s2, b6
+b6:
+    addi  s1, s1, 999
+    xor   s2, s2, s1
+    addi  s0, s0, -1
+    bnez  s0, loop
+    halt
+"""
+
 
 def _machine():
     return build_metal_machine([], config=MachineConfig(with_caches=False))
@@ -116,7 +162,7 @@ def test_corpus_slice_validates_clean():
 
 
 def test_hand_written_programs_validate_clean():
-    for source in (LOOP, MEMLOOP, MIXLOOP):
+    for source in (LOOP, MEMLOOP, MIXLOOP, ALLOPS):
         for ns, block in _compiled_blocks(source):
             assert validate_block(ns, block) == []
 
@@ -144,16 +190,11 @@ def test_golden_reference_summary(name, source):
 # ---------------------------------------------------------------------------
 
 def test_detects_corrupted_imm_template(monkeypatch):
-    """An off-by-one in the addi codegen template must fail validation
-    with a citation of the affected block."""
-    real = jit._imm_rhs
-
-    def corrupt(m, a, imm):
-        if m == "addi":
-            return f"({a} + {imm + 1}) & 4294967295"
-        return real(m, a, imm)
-
-    monkeypatch.setattr(jit, "_imm_rhs", corrupt)
+    """An off-by-one in the addi row of the ALU expression table MJIT
+    formats must fail validation with a citation of the affected
+    block."""
+    monkeypatch.setitem(alu.IMM_EXPRS, "addi",
+                        ("({a} + {b} + 1) & 4294967295", "b"))
     machine = _machine()
     # The corrupted decrement turns the loop infinite; the limit stop is
     # fine — the block is compiled either way.
